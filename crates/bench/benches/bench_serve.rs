@@ -9,9 +9,7 @@
 //! 0.84x slowdown is paid once at prepare time, not per query).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use paws_core::{
-    train, ModelConfig, Precision, Scenario, ServingModel, TraversalLayout, WeakLearnerKind,
-};
+use paws_core::{train, ModelConfig, Precision, Scenario, ServingModel, WeakLearnerKind};
 use paws_data::{build_dataset, split_by_test_year, Dataset, Discretization};
 use paws_serve::{PawsServer, QueryKind, QueryRequest};
 use std::hint::black_box;
@@ -121,31 +119,32 @@ fn bench_shard_fanout_llc(c: &mut Criterion) {
     group.finish();
 }
 
-fn fit_resident(seed: u64, tweak: u8) -> (Scenario, Dataset, ServingModel) {
+fn fit_resident(seed: u64, precision: Precision) -> (Scenario, Dataset, ServingModel) {
     let scenario = Scenario::test_scenario(seed);
     let history = scenario.simulate_years(2014, 3);
     let dataset = build_dataset(&scenario.park, &history, Discretization::quarterly());
     let split = split_by_test_year(&dataset, 2016, 2).expect("2016 present");
     let mut cfg = quick_config(WeakLearnerKind::DecisionTree, true);
     cfg.seed = seed;
-    match tweak {
-        1 => cfg.precision = Precision::F32,
-        2 => cfg.layout = TraversalLayout::BitVector,
-        _ => {}
-    }
+    cfg.precision = precision;
     let model = train(&dataset, &split, &cfg).into_serving();
     (scenario, dataset, model)
 }
 
 fn bench_serve_throughput(c: &mut Criterion) {
-    // Three resident parks spanning the engine mix (f64, f32, bitvector).
+    // Three resident parks spanning both planes (f64, f32, f64).
     // The batched submit coalesces each park's risk levels into one
     // response-surface kernel and shares identical grids; the per-request
     // loop pays admission, lookup and traversal per query.
     let server = PawsServer::new();
     let names = ["gonarezhou", "mondulkiri", "queen-elizabeth"];
     for (i, name) in names.iter().enumerate() {
-        let (scenario, dataset, model) = fit_resident(3 + i as u64, i as u8);
+        let precision = if i == 1 {
+            Precision::F32
+        } else {
+            Precision::F64
+        };
+        let (scenario, dataset, model) = fit_resident(3 + i as u64, precision);
         let prev = vec![0.0; scenario.park.n_cells()];
         server
             .registry()

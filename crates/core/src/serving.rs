@@ -31,7 +31,6 @@ use paws_geo::{CellId, Park};
 use paws_iware::IWareModel;
 use paws_ml::bagging::BaggingClassifier;
 use paws_ml::forest32::NarrowError;
-use paws_ml::layout::TraversalLayout;
 use paws_ml::metrics::roc_auc;
 use paws_ml::precision::Precision;
 use paws_ml::traits::{validate_effort_grid, validate_query, Classifier, UncertainClassifier};
@@ -50,8 +49,8 @@ pub enum FittedModel {
 ///
 /// Constructible from a live fit (via [`crate::pipeline::train`], which
 /// wraps one) or from a PR 6 learner-stack snapshot
-/// ([`ServingModel::from_stack_snapshot`]). The `&mut self` plane/layout
-/// setters are usable only while the artifact has a unique owner; once it
+/// ([`ServingModel::from_stack_snapshot`]). The `&mut self` plane
+/// setter is usable only while the artifact has a unique owner; once it
 /// is shared behind an `Arc` (the registry's resident form), callers can
 /// reach only the `&self` query surface.
 pub struct ServingModel {
@@ -149,8 +148,8 @@ impl PreparedPark {
 impl ServingModel {
     /// Rehydrate a serving artifact from a learner-stack snapshot plus the
     /// fit-time scaler and variant config (the snapshot wire format carries
-    /// the ensemble only). The configured precision plane and traversal
-    /// layout are applied before the artifact is returned.
+    /// the ensemble only). The configured precision plane is applied
+    /// before the artifact is returned.
     ///
     /// # Errors
     /// [`PawsError::Snapshot`] for a rejected snapshot,
@@ -175,7 +174,6 @@ impl ServingModel {
         };
         let precision = serving.config.precision;
         serving.set_precision(precision)?;
-        serving.set_layout(serving.config.layout);
         Ok(serving)
     }
 
@@ -201,24 +199,6 @@ impl ServingModel {
         match &mut self.fitted {
             FittedModel::IWare(m) => m.set_precision(precision),
             FittedModel::Plain(m) => m.set_precision(precision),
-        }
-    }
-
-    /// Select the traversal engine serving this model's park-wide tree
-    /// predictions; see [`paws_ml::layout::TraversalLayout`]. Surfaces are
-    /// bit-identical across engines (a pure memory-layout choice).
-    pub fn set_layout(&mut self, layout: TraversalLayout) {
-        match &mut self.fitted {
-            FittedModel::IWare(m) => m.set_layout(layout),
-            FittedModel::Plain(m) => m.set_layout(layout),
-        }
-    }
-
-    /// The traversal engine currently serving predictions.
-    pub fn layout(&self) -> TraversalLayout {
-        match &self.fitted {
-            FittedModel::IWare(m) => m.layout(),
-            FittedModel::Plain(m) => m.layout(),
         }
     }
 
@@ -704,7 +684,7 @@ mod tests {
         cfg
     }
 
-    /// Every (variant, plane, layout) combination must serve the exact
+    /// Every (variant, plane) combination must serve the exact
     /// same bits off the cached planes as the unprepared per-call paths.
     #[test]
     fn prepared_queries_are_bit_identical_to_unprepared_ones() {
@@ -720,28 +700,25 @@ mod tests {
             );
             for precision in [Precision::F64, Precision::F32] {
                 model.set_precision(precision).unwrap();
-                for layout in [TraversalLayout::Interleaved, TraversalLayout::BitVector] {
-                    model.set_layout(layout);
-                    let prepared = model.prepare_park(park, &dataset, &prev).unwrap();
-                    assert_eq!(prepared.n_cells(), park.n_cells());
-                    assert_eq!(prepared.n_features(), model.n_features());
+                let prepared = model.prepare_park(park, &dataset, &prev).unwrap();
+                assert_eq!(prepared.n_cells(), park.n_cells());
+                assert_eq!(prepared.n_features(), model.n_features());
 
-                    let (r_ref, u_ref) = model.risk_map(park, &dataset, &prev, 1.0);
-                    let (r, u) = model.risk_map_prepared(&prepared, 1.0);
-                    assert_eq!(r, r_ref, "risk {use_iware} {precision:?} {layout:?}");
-                    assert_eq!(u, u_ref, "uncertainty {use_iware} {precision:?} {layout:?}");
-                    let (rt, ut) = model.try_risk_map_prepared(&prepared, 1.0).unwrap();
-                    assert_eq!(rt, r_ref);
-                    assert_eq!(ut, u_ref);
+                let (r_ref, u_ref) = model.risk_map(park, &dataset, &prev, 1.0);
+                let (r, u) = model.risk_map_prepared(&prepared, 1.0);
+                assert_eq!(r, r_ref, "risk {use_iware} {precision:?}");
+                assert_eq!(u, u_ref, "uncertainty {use_iware} {precision:?}");
+                let (rt, ut) = model.try_risk_map_prepared(&prepared, 1.0).unwrap();
+                assert_eq!(rt, r_ref);
+                assert_eq!(ut, u_ref);
 
-                    let (p_ref, v_ref) = model.park_response(park, &dataset, &prev, &grid);
-                    let (p, v) = model.park_response_prepared(&prepared, &grid);
-                    assert_eq!(p.as_slice(), p_ref.as_slice());
-                    assert_eq!(v.as_slice(), v_ref.as_slice());
-                    let (pt, vt) = model.try_park_response_prepared(&prepared, &grid).unwrap();
-                    assert_eq!(pt.as_slice(), p_ref.as_slice());
-                    assert_eq!(vt.as_slice(), v_ref.as_slice());
-                }
+                let (p_ref, v_ref) = model.park_response(park, &dataset, &prev, &grid);
+                let (p, v) = model.park_response_prepared(&prepared, &grid);
+                assert_eq!(p.as_slice(), p_ref.as_slice());
+                assert_eq!(v.as_slice(), v_ref.as_slice());
+                let (pt, vt) = model.try_park_response_prepared(&prepared, &grid).unwrap();
+                assert_eq!(pt.as_slice(), p_ref.as_slice());
+                assert_eq!(vt.as_slice(), v_ref.as_slice());
             }
         }
     }
@@ -936,7 +913,6 @@ mod tests {
             ServingModel::from_stack_snapshot(&bytes, model.config.clone(), model.scaler.clone())
                 .expect("snapshot rehydrates");
         assert_eq!(rehydrated.precision(), model.precision());
-        assert_eq!(rehydrated.layout(), model.layout());
         let (r_ref, u_ref) = model.risk_map(park, &dataset, &prev, 1.0);
         let (r, u) = rehydrated.risk_map(park, &dataset, &prev, 1.0);
         assert_eq!(r, r_ref);

@@ -262,15 +262,10 @@ impl Forest32 {
         })
     }
 
-    /// The raw arena parts `(nodes, leaf_values, roots)` — the lift input
-    /// of [`crate::qs::QuickScorer32::from_forest32`].
-    pub(crate) fn arena_parts32(&self) -> (&[ArenaNode32], &[f32], &[u32]) {
-        (&self.nodes, &self.leaf_values, &self.roots)
-    }
-
-    /// Per-tree depths (the snapshot writer's fifth section).
-    pub(crate) fn depths32(&self) -> &[u32] {
-        &self.depths
+    /// The raw arena parts `(nodes, leaf_values, roots, depths)` — the
+    /// snapshot writer's input.
+    pub(crate) fn arena_parts32(&self) -> (&[ArenaNode32], &[f32], &[u32], &[u32]) {
+        (&self.nodes, &self.leaf_values, &self.roots, &self.depths)
     }
 
     /// Assemble an f32 arena from parts the snapshot decoder has already

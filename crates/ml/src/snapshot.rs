@@ -311,8 +311,7 @@ impl SnapshotWriter {
 
     /// Append the five arena sections of an f32 [`Forest32`].
     pub fn push_forest32(&mut self, forest: &Forest32) {
-        let (nodes, leaves, roots) = forest.arena_parts32();
-        let depths = forest.depths32();
+        let (nodes, leaves, roots, depths) = forest.arena_parts32();
         self.push_u64_section(
             section::META,
             &[

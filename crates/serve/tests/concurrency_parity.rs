@@ -4,7 +4,7 @@
 //! artifacts — coalescing, caching and the work-stealing fan-out change
 //! wall-clock, never bits.
 
-use paws_core::{ModelConfig, Scenario, ServingModel, TraversalLayout, WeakLearnerKind};
+use paws_core::{ModelConfig, Scenario, ServingModel, WeakLearnerKind};
 use paws_data::{build_dataset, split_by_test_year, Dataset, Discretization, Matrix};
 use paws_geo::Park;
 use paws_plan::{try_plan, PatrolPlan, PlannerConfig};
@@ -22,7 +22,8 @@ struct Fixture {
     prev: Vec<f64>,
 }
 
-/// Train one park model; `tweak` selects the serving engines.
+/// Train one park model; `tweak` selects the serving plane (1: f32) or
+/// plain bagging (3).
 fn fit_park(name: &'static str, seed: u64, tweak: u8) -> (Fixture, ServingModel) {
     let scenario = Scenario::test_scenario(seed);
     let history = scenario.simulate_years(2014, 3);
@@ -32,10 +33,8 @@ fn fit_park(name: &'static str, seed: u64, tweak: u8) -> (Fixture, ServingModel)
     config.n_learners = 4;
     config.n_estimators = 4;
     config.weight_mode = paws_iware::WeightMode::Uniform;
-    match tweak {
-        1 => config.precision = paws_core::Precision::F32,
-        2 => config.layout = TraversalLayout::BitVector,
-        _ => {}
+    if tweak == 1 {
+        config.precision = paws_core::Precision::F32;
     }
     let model = paws_core::train(&dataset, &split, &config).into_serving();
     let prev = vec![0.0; scenario.park.n_cells()];
@@ -163,12 +162,12 @@ fn assert_answer_matches(req: &QueryRequest, answer: &QueryResponse, reference: 
 
 #[test]
 fn threaded_batches_are_bit_identical_to_direct_calls() {
-    // Four resident parks spanning the engine matrix: f64/interleaved,
-    // f32/interleaved, f64/bitvector, plain bagging.
+    // Four resident parks spanning the plane matrix: iWare-E on f64
+    // (two parks), iWare-E on f32, plain bagging.
     let specs = [
         ("gonarezhou", 3u64, 0u8),
         ("mondulkiri", 4, 1),
-        ("queen-elizabeth", 5, 2),
+        ("queen-elizabeth", 5, 0),
         ("srepok-plain", 6, 3),
     ];
     let server = Arc::new(PawsServer::new());

@@ -42,7 +42,6 @@ allowlist() {
 1 crates/ml/src/bagging.rs
 1 crates/ml/src/forest32.rs
 3 crates/ml/src/gp.rs
-6 crates/ml/src/qs.rs
 10 crates/ml/src/snapshot.rs
 1 crates/ml/src/traits.rs
 1 crates/plan/src/evaluate.rs
