@@ -94,9 +94,10 @@ fn bench_forest_traversal(c: &mut Criterion) {
         b.iter(|| black_box(forest.predict_proba_batch(w.park_flat.view())))
     });
     // The f32 plane's 8-byte-node arena over a pre-narrowed park batch:
-    // isolates the traversal bandwidth win from the per-call narrowing
-    // cost (which the end-to-end park_prediction benches include).
-    let forest32 = paws_ml::Forest32::from_forest(forest);
+    // the traversal bandwidth win alone. The prepared park_prediction and
+    // serving_prepared_llc groups also narrow once, at prepare time;
+    // prepare_park_llc_* measures that up-front cost.
+    let forest32 = paws_ml::Forest32::try_from_forest(forest).expect("forest fits the f32 plane");
     let park32 = paws_data::Matrix32::from_f64(w.park_flat.view());
     group.bench_function("level_sync_batch_f32", |b| {
         b.iter(|| black_box(forest32.predict_proba_batch(park32.view())))

@@ -1,20 +1,87 @@
-//! Criterion benchmarks for the sparse planning stack: dense-tableau vs
-//! sparse revised-simplex LP engines on allocation-shaped LPs across cell
-//! counts, branch-and-bound node throughput with and without warm-started
-//! sparse relaxations, and the column-generation planner on an LLC-scale
-//! park. The headline curves (up to study-park and 100k-cell scale, where
-//! a criterion loop would take hours on the dense engine) are recorded by
-//! `fig8 --llc` / `fig9 --llc` into `results/`.
+//! Criterion benchmarks for the planning stack: the patrol planner on the
+//! test park (the Fig. 9a runtime measurement at component scale:
+//! allocation MILP across PWL segment counts, and the flow formulation on
+//! a tiny instance), dense-tableau vs sparse revised-simplex LP engines on
+//! allocation-shaped LPs across cell counts, branch-and-bound node
+//! throughput with and without warm-started sparse relaxations, and the
+//! column-generation planner on an LLC-scale park. The headline curves
+//! (up to study-park and 100k-cell scale, where a criterion loop would
+//! take hours on the dense engine) are recorded by `fig8 --llc` /
+//! `fig9 --llc` into `results/`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use paws_bench::full_reach_problem;
-use paws_geo::parks::llc_park_spec;
+use paws_data::Matrix;
+use paws_geo::parks::{llc_park_spec, test_park_spec};
 use paws_geo::Park;
-use paws_plan::{plan, Decomposition, PlannerConfig};
+use paws_plan::{try_plan, Decomposition, PlannerConfig, PlannerMethod, PlanningProblem};
 use paws_solver::{
     solve_lp, solve_lp_dense, solve_milp, ConstraintOp, LpEngine, MilpOptions, Model, Sense,
 };
 use std::hint::black_box;
+
+/// Synthetic saturating response curves over the test park, planned at
+/// β = 1 with 3 patrols of `patrol_length_km`.
+fn test_park_problem(patrol_length_km: f64) -> PlanningProblem {
+    let park = Park::generate(&test_park_spec(), 7);
+    let post = park.patrol_posts[0];
+    let grid: Vec<f64> = vec![0.0, 0.5, 1.0, 2.0, 4.0, 8.0];
+    let probs: Vec<Vec<f64>> = (0..park.n_cells())
+        .map(|i| {
+            let s = 0.1 + 0.8 * ((i * 37) % 100) as f64 / 100.0;
+            grid.iter().map(|&e| s * (1.0 - (-0.7 * e).exp())).collect()
+        })
+        .collect();
+    let vars: Vec<Vec<f64>> = (0..park.n_cells())
+        .map(|i| {
+            let b = 0.05 + 0.4 * ((i * 61) % 100) as f64 / 100.0;
+            grid.iter().map(|&e| (b + 0.03 * e).min(0.95)).collect()
+        })
+        .collect();
+    PlanningProblem::from_response(
+        &park,
+        post,
+        &grid,
+        &Matrix::from_rows(&probs),
+        &Matrix::from_rows(&vars),
+        patrol_length_km,
+        3,
+        1.0,
+    )
+}
+
+fn bench_allocation_segments(c: &mut Criterion) {
+    let problem = test_park_problem(10.0);
+    let mut group = c.benchmark_group("allocation_milp_by_segments");
+    group.sample_size(10);
+    for segments in [5usize, 10, 20] {
+        let config = PlannerConfig {
+            segments,
+            ..PlannerConfig::default()
+        };
+        group.bench_with_input(
+            BenchmarkId::from_parameter(segments),
+            &config,
+            |b, config| b.iter(|| black_box(try_plan(&problem, config))),
+        );
+    }
+    group.finish();
+}
+
+fn bench_flow_formulation(c: &mut Criterion) {
+    let problem = test_park_problem(4.0);
+    let config = PlannerConfig {
+        method: PlannerMethod::Flow,
+        segments: 6,
+        ..PlannerConfig::default()
+    };
+    let mut group = c.benchmark_group("flow_formulation");
+    group.sample_size(10);
+    group.bench_function("flow_milp_tiny", |b| {
+        b.iter(|| black_box(try_plan(&problem, &config)))
+    });
+    group.finish();
+}
 
 /// The park-wide allocation LP at `n_cells` candidate cells: a per-cell λ
 /// block over a 6-breakpoint concave utility, one convexity row per cell,
@@ -121,13 +188,15 @@ fn bench_colgen_llc(c: &mut Criterion) {
     let mut group = c.benchmark_group("colgen_planner");
     group.sample_size(10);
     group.bench_function("llc_10k_cells", |b| {
-        b.iter(|| black_box(plan(&problem, &config)))
+        b.iter(|| black_box(try_plan(&problem, &config)))
     });
     group.finish();
 }
 
 criterion_group!(
     benches,
+    bench_allocation_segments,
+    bench_flow_formulation,
     bench_lp_engines,
     bench_milp_nodes,
     bench_colgen_llc

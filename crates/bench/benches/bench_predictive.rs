@@ -1,6 +1,7 @@
 //! Criterion micro-benchmarks of the predictive stage (Table II / Fig. 6
 //! building blocks): weak-learner training, iWare-E training and park-wide
-//! prediction.
+//! prediction off a prepared park. The 50k-cell (LLC) prepared queries
+//! live in `bench_serve`'s `serving_prepared_llc` group.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use paws_core::{train, ModelConfig, Scenario, WeakLearnerKind};
@@ -75,62 +76,29 @@ fn bench_iware_training(c: &mut Criterion) {
 
 fn bench_park_prediction(c: &mut Criterion) {
     let (scenario, dataset, split) = setup();
-    let model = train(
-        &dataset,
-        &split,
-        &quick_config(WeakLearnerKind::DecisionTree, true),
-    );
-    // The same variant with the f32 prediction plane selected (training is
-    // f64 either way; only the serving arena differs).
-    let mut cfg32 = quick_config(WeakLearnerKind::DecisionTree, true);
-    cfg32.precision = paws_core::Precision::F32;
-    let model32 = train(&dataset, &split, &cfg32);
     let prev = dataset.coverage.last().unwrap().clone();
+    let grid = [0.0, 0.5, 1.0, 2.0, 4.0, 8.0];
     let mut group = c.benchmark_group("park_prediction");
     group.sample_size(20);
-    group.bench_function("risk_map_500_cells", |b| {
-        b.iter(|| black_box(model.risk_map(&scenario.park, &dataset, &prev, 1.0)))
-    });
-    group.bench_function("risk_map_500_cells_f32", |b| {
-        b.iter(|| black_box(model32.risk_map(&scenario.park, &dataset, &prev, 1.0)))
-    });
-    let grid = [0.0, 0.5, 1.0, 2.0, 4.0, 8.0];
-    group.bench_function("park_response_500_cells_6_levels", |b| {
-        b.iter(|| black_box(model.park_response(&scenario.park, &dataset, &prev, &grid)))
-    });
-    group.bench_function("park_response_500_cells_6_levels_f32", |b| {
-        b.iter(|| black_box(model32.park_response(&scenario.park, &dataset, &prev, &grid)))
-    });
-    group.finish();
-}
-
-fn bench_park_prediction_llc(c: &mut Criterion) {
-    // LLC-scale park (50k cells): the feature matrix (~8 MB) and response
-    // surfaces outgrow the last-level cache, which is where the precision
-    // planes actually differ in memory behaviour —
-    // the 500-cell test park above stays cache-resident throughout.
-    let scenario = paws_core::Scenario::llc_scenario(50_000, 5);
-    let history = scenario.simulate_years(2014, 2);
-    let dataset = build_dataset(&scenario.park, &history, Discretization::quarterly());
-    let split = split_by_test_year(&dataset, 2015, 1).expect("2015 present");
-    let prev = dataset.coverage.last().unwrap().clone();
-    let grid = [0.0, 0.5, 1.0, 2.0, 4.0, 8.0];
-
-    let mut group = c.benchmark_group("park_prediction_llc");
-    group.sample_size(10);
+    // The same variant on both prediction planes (training is f64 either
+    // way; only the serving arena differs), queried off a prepared park.
     for (tag, precision) in [
         ("", paws_core::Precision::F64),
         ("_f32", paws_core::Precision::F32),
     ] {
         let mut cfg = quick_config(WeakLearnerKind::DecisionTree, true);
         cfg.precision = precision;
-        let model = train(&dataset, &split, &cfg);
-        group.bench_function(format!("risk_map_llc_50k_cells{tag}"), |b| {
-            b.iter(|| black_box(model.risk_map(&scenario.park, &dataset, &prev, 1.0)))
+        let model = train(&dataset, &split, &cfg).into_serving();
+        let prepared = model
+            .prepare_park(&scenario.park, &dataset, &prev)
+            .expect("park prepares");
+        group.bench_function(format!("risk_map_500_cells_prepared{tag}"), |b| {
+            b.iter(|| black_box(model.risk_map_prepared(&prepared, 1.0)))
         });
-        group.bench_function(format!("park_response_llc_50k_cells_6_levels{tag}"), |b| {
-            b.iter(|| black_box(model.park_response(&scenario.park, &dataset, &prev, &grid)))
-        });
+        group.bench_function(
+            format!("park_response_500_cells_6_levels_prepared{tag}"),
+            |b| b.iter(|| black_box(model.park_response_prepared(&prepared, &grid))),
+        );
     }
     group.finish();
 }
@@ -144,10 +112,14 @@ fn bench_park_prediction_threads(c: &mut Criterion) {
         &dataset,
         &split,
         &quick_config(WeakLearnerKind::DecisionTree, true),
-    );
+    )
+    .into_serving();
     let prev = dataset.coverage.last().unwrap().clone();
+    let prepared = model
+        .prepare_park(&scenario.park, &dataset, &prev)
+        .expect("park prepares");
     let grid = [0.0, 0.5, 1.0, 2.0, 4.0, 8.0];
-    let mut group = c.benchmark_group("park_response_threads");
+    let mut group = c.benchmark_group("park_response_prepared_threads");
     group.sample_size(20);
     for threads in [1usize, 2, 4] {
         group.bench_with_input(
@@ -155,9 +127,7 @@ fn bench_park_prediction_threads(c: &mut Criterion) {
             &threads,
             |b, &threads| {
                 rayon::with_num_threads(threads, || {
-                    b.iter(|| {
-                        black_box(model.park_response(&scenario.park, &dataset, &prev, &grid))
-                    })
+                    b.iter(|| black_box(model.park_response_prepared(&prepared, &grid)))
                 })
             },
         );
@@ -170,7 +140,6 @@ criterion_group!(
     bench_weak_learners,
     bench_iware_training,
     bench_park_prediction,
-    bench_park_prediction_llc,
     bench_park_prediction_threads
 );
 criterion_main!(benches);

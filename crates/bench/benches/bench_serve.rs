@@ -1,10 +1,10 @@
 //! Criterion benchmarks of the serving surface: prepared-park queries
-//! (cached standardize + narrow) vs the unprepared per-call path, and the
-//! batched admission layer vs per-request submits.
+//! (cached standardize + narrow) with their one-time preparation cost, and
+//! the batched admission layer vs per-request submits.
 //!
 //! The LLC group is the evidence for the PR 7 acceptance criterion: with
 //! `PreparedPark` caching the standardized f64 plane and the f32 narrowing,
-//! the f32 `park_response` at 50k cells must no longer trail f64 (the
+//! the f32 park response at 50k cells must no longer trail f64 (the
 //! per-call `Matrix32::from_f64` narrowing cost that BENCH_5 measured as a
 //! 0.84x slowdown is paid once at prepare time, not per query).
 
@@ -43,12 +43,7 @@ fn bench_prepared_queries_llc(c: &mut Criterion) {
         let prepared = model
             .prepare_park(&scenario.park, &dataset, &prev)
             .expect("park prepares");
-        // Unprepared: every call re-standardizes the stack (and, on the
-        // f32 plane, re-narrows it) before traversal.
-        group.bench_function(format!("park_response_llc_50k_cells_6_levels{tag}"), |b| {
-            b.iter(|| black_box(model.park_response(&scenario.park, &dataset, &prev, &grid)))
-        });
-        // Prepared: traversal only, straight off the cached plane.
+        // Traversal only, straight off the cached plane.
         group.bench_function(
             format!("park_response_prepared_llc_50k_cells_6_levels{tag}"),
             |b| b.iter(|| black_box(model.park_response_prepared(&prepared, &grid))),

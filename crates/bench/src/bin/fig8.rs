@@ -24,12 +24,15 @@
 use paws_bench::{
     full_reach_problem, mean, park_model_config, quarterly_dataset, scenario, write_json, Scale,
 };
-use paws_core::{format_table, train, WeakLearnerKind};
+use paws_core::{
+    format_table, train, try_planning_problem_from_response, PawsError, WeakLearnerKind,
+};
 use paws_data::split_by_test_year;
 use paws_geo::parks::{mfnp_spec, qenp_spec, sws_spec, test_park_spec};
 use paws_geo::Park;
 use paws_plan::{
-    compare_with_ground_truth, plan, squash_matrix, Decomposition, PlannerConfig, PlanningProblem,
+    compare_with_ground_truth, try_compare_robust_vs_baseline, try_plan, Decomposition, PlanError,
+    PlannerConfig,
 };
 use paws_sim::Season;
 use paws_solver::{LpEngine, MilpOptions, SolveBudget};
@@ -75,7 +78,7 @@ struct EnginePoint {
 }
 
 /// `--llc`: dense-vs-sparse LP engine scaling on park-wide allocation LPs.
-fn llc_engines(scale: Scale) {
+fn llc_engines(scale: Scale) -> Result<(), PlanError> {
     // The dense engine gets a generous wall-clock budget; past it, the
     // point is recorded as Degraded with the budget as a runtime floor.
     const DENSE_CAP: Duration = Duration::from_secs(600);
@@ -124,7 +127,7 @@ fn llc_engines(scale: Scale) {
         ];
         for (engine, config) in configs {
             let start = Instant::now();
-            let result = plan(&problem, &config);
+            let result = try_plan(&problem, &config)?;
             let runtime_seconds = start.elapsed().as_secs_f64();
             let point = EnginePoint {
                 park: name.to_string(),
@@ -165,13 +168,13 @@ fn llc_engines(scale: Scale) {
         )
     );
     write_json("fig8_llc", &points);
+    Ok(())
 }
 
-fn main() {
+fn main() -> Result<(), PawsError> {
     let scale = Scale::from_args();
     if std::env::args().any(|a| a == "--llc") {
-        llc_engines(scale);
-        return;
+        return Ok(llc_engines(scale)?);
     }
     println!(
         "Figure 8: gain from uncertainty-aware patrol planning [{} scale]\n",
@@ -201,14 +204,14 @@ fn main() {
         let test_year = if park_name == "SWS" { 2017 } else { 2016 };
         let split = split_by_test_year(&dataset, test_year, 3).expect("test year present");
         let config = park_model_config(park_name, WeakLearnerKind::GaussianProcess, true, scale);
-        let model = train(&dataset, &split, &config);
+        let model = train(&dataset, &split, &config).into_serving();
 
         // Park-wide response curves are computed once and reused for every
         // post, β and segment count.
         let prev = dataset.coverage.last().unwrap().clone();
         let effort_grid: Vec<f64> = vec![0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0];
-        let (probs, raw_vars) = model.park_response(&sc.park, &dataset, &prev, &effort_grid);
-        let (_, vars) = squash_matrix(&raw_vars);
+        let prepared = model.prepare_park(&sc.park, &dataset, &prev)?;
+        let (probs, vars) = model.park_response_prepared(&prepared, &effort_grid);
         let attack = sc.attack_probabilities(&vec![0.0; sc.park.n_cells()], Season::Dry);
         let detection = sc.sim.detection;
 
@@ -217,8 +220,9 @@ fn main() {
         } else {
             sc.park.patrol_posts.iter().copied().take(4).collect()
         };
+        // Squashes the raw variance surface before building the game.
         let build = |post, beta| {
-            PlanningProblem::from_response(
+            try_planning_problem_from_response(
                 &sc.park,
                 post,
                 &effort_grid,
@@ -236,7 +240,7 @@ fn main() {
             let mut ratios = Vec::new();
             let mut gains = Vec::new();
             for &post in &posts {
-                let problem = build(post, beta);
+                let problem = build(post, beta)?;
                 let attack_local: Vec<f64> =
                     problem.cells.iter().map(|c| attack[c.park_index]).collect();
                 let cmp = compare_with_ground_truth(
@@ -244,7 +248,7 @@ fn main() {
                     &PlannerConfig::default(),
                     &attack_local,
                     |c| detection.probability(c),
-                );
+                )?;
                 ratios.push(cmp.improvement_ratio);
                 if cmp.baseline_detections > 1e-9 {
                     gains.push(cmp.robust_detections / cmp.baseline_detections);
@@ -283,13 +287,8 @@ fn main() {
             };
             let mut ratios = Vec::new();
             for &post in &posts {
-                let problem = build(post, 1.0);
-                let mut baseline_problem = problem.clone();
-                baseline_problem.beta = 0.0;
-                let robust = plan(&problem, &planner);
-                let baseline = plan(&baseline_problem, &planner);
-                let ub = problem.coverage_utility(&baseline.coverage, 1.0).max(1e-9);
-                ratios.push(problem.coverage_utility(&robust.coverage, 1.0) / ub);
+                let problem = build(post, 1.0)?;
+                ratios.push(try_compare_robust_vs_baseline(&problem, &planner)?.improvement_ratio);
             }
             let point = SegmentPoint {
                 park: park_name.to_string(),
@@ -322,4 +321,5 @@ fn main() {
             overall_detection_improvement_pct: overall,
         },
     );
+    Ok(())
 }

@@ -15,11 +15,13 @@
 use paws_bench::{
     full_reach_problem, mean, park_model_config, quarterly_dataset, scenario, write_json, Scale,
 };
-use paws_core::{format_table, train, WeakLearnerKind};
+use paws_core::{
+    format_table, train, try_planning_problem_from_response, PawsError, WeakLearnerKind,
+};
 use paws_data::split_by_test_year;
 use paws_geo::parks::llc_park_spec;
 use paws_geo::Park;
-use paws_plan::{plan, squash_matrix, PlannerConfig, PlanningProblem};
+use paws_plan::{try_plan, PlanError, PlannerConfig};
 use serde::Serialize;
 use std::time::Instant;
 
@@ -46,7 +48,7 @@ struct Fig9LlcPoint {
 /// routes every one of these through column generation over the sparse
 /// revised simplex — the monolithic dense tableau would need tens of
 /// gigabytes before the first pivot.
-fn llc_scaling(scale: Scale) {
+fn llc_scaling(scale: Scale) -> Result<(), PlanError> {
     let sizes: &[usize] = if scale.is_full() {
         &[10_000, 25_000, 50_000, 100_000]
     } else {
@@ -61,7 +63,7 @@ fn llc_scaling(scale: Scale) {
         let budget_km = 0.05 * cells as f64;
         let problem = full_reach_problem(&park, budget_km, 1.0);
         let start = Instant::now();
-        let result = plan(&problem, &config);
+        let result = try_plan(&problem, &config)?;
         let runtime_seconds = start.elapsed().as_secs_f64();
         let point = Fig9LlcPoint {
             cells,
@@ -97,13 +99,13 @@ fn llc_scaling(scale: Scale) {
         )
     );
     write_json("fig9_llc", &points);
+    Ok(())
 }
 
-fn main() {
+fn main() -> Result<(), PawsError> {
     let scale = Scale::from_args();
     if std::env::args().any(|a| a == "--llc") {
-        llc_scaling(scale);
-        return;
+        return Ok(llc_scaling(scale)?);
     }
     println!(
         "Figure 9: planner runtime and utility vs PWL segments [{} scale]\n",
@@ -122,12 +124,12 @@ fn main() {
         let test_year = if park_name == "SWS" { 2017 } else { 2016 };
         let split = split_by_test_year(&dataset, test_year, 3).expect("test year present");
         let config = park_model_config(park_name, WeakLearnerKind::GaussianProcess, true, scale);
-        let model = train(&dataset, &split, &config);
+        let model = train(&dataset, &split, &config).into_serving();
 
         let prev = dataset.coverage.last().unwrap().clone();
         let effort_grid: Vec<f64> = vec![0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0];
-        let (probs, raw_vars) = model.park_response(&sc.park, &dataset, &prev, &effort_grid);
-        let (_, vars) = squash_matrix(&raw_vars);
+        let prepared = model.prepare_park(&sc.park, &dataset, &prev)?;
+        let (probs, vars) = model.park_response_prepared(&prepared, &effort_grid);
 
         // Fully robust plans (β = 1), as in Fig. 9b; a couple of posts keep
         // runtimes representative without dominating the harness.
@@ -141,7 +143,8 @@ fn main() {
             let mut runtimes = Vec::new();
             let mut utilities = Vec::new();
             for &post in &posts {
-                let problem = PlanningProblem::from_response(
+                // Squashes the raw variance surface before building the game.
+                let problem = try_planning_problem_from_response(
                     &sc.park,
                     post,
                     &effort_grid,
@@ -150,8 +153,8 @@ fn main() {
                     10.0,
                     4,
                     1.0,
-                );
-                let result = plan(&problem, &planner);
+                )?;
+                let result = try_plan(&problem, &planner)?;
                 runtimes.push(result.solve_time.as_secs_f64());
                 utilities.push(problem.coverage_utility(&result.coverage, 1.0));
             }
@@ -178,4 +181,5 @@ fn main() {
     println!("Shapes to reproduce: runtime grows with the number of segments (Fig. 9a)");
     println!("and the utility of the robust solution converges by ~20-25 segments (Fig. 9b).");
     write_json("fig9", &points);
+    Ok(())
 }

@@ -43,7 +43,7 @@ fn evaluate_dataset(
                     c.seed = 100 + year as u64;
                     c
                 };
-                let model = train(dataset, &split, &config);
+                let model = train(dataset, &split, &config).into_serving();
                 let auc = model.auc_on(dataset, &split.test);
                 println!("  {label:<10} {year}  {:<7} AUC = {auc:.3}", config.name());
                 rows.push(Table2Row {

@@ -14,8 +14,15 @@
 //! let dataset = build_dataset(&scenario.park, &history, Discretization::quarterly());
 //! let split = split_by_test_year(&dataset, 2017, 3).unwrap();
 //! let config = ModelConfig::new(WeakLearnerKind::GaussianProcess, true, 7);
-//! let model = paws_core::pipeline::train(&dataset, &split, &config);
+//! let model = paws_core::pipeline::train(&dataset, &split, &config).into_serving();
 //! println!("test AUC = {:.3}", model.auc_on(&dataset, &split.test));
+//!
+//! // Prepare the park once (here: no prior patrol coverage), then query it.
+//! let prev = vec![0.0; scenario.park.n_cells()];
+//! let prepared = model.prepare_park(&scenario.park, &dataset, &prev)?;
+//! let (risk, _uncertainty) = model.try_risk_map_prepared(&prepared, 1.0)?;
+//! println!("{} cells mapped", risk.len());
+//! # Ok::<(), paws_core::PawsError>(())
 //! ```
 
 pub mod config;
@@ -32,7 +39,7 @@ pub use paws_iware::SnapshotError;
 pub use paws_ml::precision::Precision;
 pub use paws_ml::traits::QueryError;
 pub use paws_plan::{try_plan, Decomposition, PlanError, PlannerConfig, PlannerMethod};
-pub use pipeline::{build_planning_problem, train, TrainedModel};
+pub use pipeline::{train, TrainedModel};
 pub use report::{ascii_heatmap, format_table};
 pub use scenario::Scenario;
 pub use serving::{try_planning_problem_from_response, FittedModel, PreparedPark, ServingModel};

@@ -5,70 +5,39 @@
 //! training gathers the split's rows into one [`paws_data::Matrix`], the scaler
 //! standardises in place, and park-wide evaluation produces flat
 //! `cells × effort-levels` response matrices consumed directly by the
-//! planner. For tree-based models the park-wide paths ([`ServingModel::risk_map`],
-//! [`ServingModel::park_response`]) are served by one level-synchronous
-//! batch traversal of the ensemble's arena-backed forest (the fused iWare-E
-//! learner stack for "-iW" variants) rather than per-tree row walks.
+//! planner. For tree-based models the park-wide paths
+//! ([`ServingModel::risk_map_prepared`], [`ServingModel::park_response_prepared`])
+//! are served by one level-synchronous batch traversal of the ensemble's
+//! arena-backed forest (the fused iWare-E learner stack for "-iW" variants)
+//! rather than per-tree row walks.
 //!
 //! This module is the **fit** half of the fit/serve split: [`train`] runs
-//! the mutable fitting pipeline and hands back a [`TrainedModel`] — a thin
-//! owner of the immutable [`ServingModel`] artifact defined in
-//! [`crate::serving`]. `TrainedModel` derefs to `ServingModel`, so every
-//! query method (and public field) keeps its historical spelling; call
-//! [`TrainedModel::into_serving`] to take the artifact out and share it
-//! behind an `Arc` (e.g. in a `paws-serve` registry).
+//! the mutable fitting pipeline and hands back a [`TrainedModel`], whose
+//! only method, [`TrainedModel::into_serving`], yields the immutable
+//! [`ServingModel`] artifact defined in [`crate::serving`]. Every query
+//! goes through that artifact: prepare a park once with
+//! [`ServingModel::prepare_park`], then ask it for risk maps, response
+//! surfaces and planning problems
+//! ([`ServingModel::try_planning_problem_prepared`]).
 
 use crate::config::ModelConfig;
 pub use crate::serving::{FittedModel, PreparedPark, ServingModel};
 use paws_data::{Dataset, StandardScaler, TrainTestSplit};
-use paws_geo::{CellId, Park};
 use paws_iware::IWareModel;
 use paws_ml::bagging::BaggingClassifier;
-use paws_plan::{squash_matrix, PlanningProblem};
-use std::ops::{Deref, DerefMut};
 
-/// A trained predictive model together with its feature scaler.
-///
-/// Since the fit/serve split this is a compatibility facade: the model's
-/// whole query surface lives on the immutable [`ServingModel`] artifact it
-/// wraps, reachable here through `Deref`/`DerefMut` (so existing call sites
-/// — including field access to `config`/`scaler`/`fitted` — compile and
-/// behave bit-identically). Use [`TrainedModel::into_serving`] to extract
-/// the artifact for `Arc` sharing.
+/// The output of [`train`]: a freshly fitted model, to be taken out as
+/// its immutable [`ServingModel`] artifact.
 pub struct TrainedModel {
     serving: ServingModel,
 }
 
 impl TrainedModel {
-    /// Wrap an existing serving artifact (e.g. one rehydrated from a
-    /// snapshot) in the fit-time facade.
-    pub fn from_serving(serving: ServingModel) -> Self {
-        Self { serving }
-    }
-
-    /// Take the immutable serving artifact out of the facade — the form a
-    /// model registry holds resident behind an `Arc`.
+    /// Take the immutable serving artifact out — the form every query
+    /// runs against, and the one a model registry holds resident behind
+    /// an `Arc`.
     pub fn into_serving(self) -> ServingModel {
         self.serving
-    }
-
-    /// Borrow the serving artifact.
-    pub fn serving(&self) -> &ServingModel {
-        &self.serving
-    }
-}
-
-impl Deref for TrainedModel {
-    type Target = ServingModel;
-
-    fn deref(&self) -> &ServingModel {
-        &self.serving
-    }
-}
-
-impl DerefMut for TrainedModel {
-    fn deref_mut(&mut self) -> &mut ServingModel {
-        &mut self.serving
     }
 }
 
@@ -109,38 +78,10 @@ pub fn train(dataset: &Dataset, split: &TrainTestSplit, config: &ModelConfig) ->
     TrainedModel { serving }
 }
 
-/// Build a patrol-planning problem for one patrol post from a serving
-/// artifact (a `&TrainedModel` deref-coerces here).
-#[allow(clippy::too_many_arguments)]
-pub fn build_planning_problem(
-    park: &Park,
-    model: &ServingModel,
-    dataset: &Dataset,
-    prev_coverage: &[f64],
-    post: CellId,
-    effort_grid: &[f64],
-    patrol_length_km: f64,
-    n_patrols: usize,
-    beta: f64,
-) -> PlanningProblem {
-    let (probs, vars) = model.park_response(park, dataset, prev_coverage, effort_grid);
-    let (_, squashed) = squash_matrix(&vars);
-    PlanningProblem::from_response(
-        park,
-        post,
-        effort_grid,
-        &probs,
-        &squashed,
-        patrol_length_km,
-        n_patrols,
-        beta,
-    )
-}
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::WeakLearnerKind;
-    use crate::error::PawsError;
     use crate::scenario::Scenario;
     use paws_data::{build_dataset, split_by_test_year, Discretization};
 
@@ -168,7 +109,8 @@ mod tests {
             &dataset,
             &split,
             &quick_config(WeakLearnerKind::DecisionTree, true),
-        );
+        )
+        .into_serving();
         let auc = model.auc_on(&dataset, &split.test);
         assert!(auc > 0.55, "test AUC too low: {auc}");
         let train_auc = model.auc_on(&dataset, &split.train);
@@ -186,7 +128,8 @@ mod tests {
                 &dataset,
                 &split,
                 &quick_config(WeakLearnerKind::DecisionTree, use_iware),
-            );
+            )
+            .into_serving();
             let idx = &split.test[..10.min(split.test.len())];
             let probs = model.predict(dataset.feature_rows(idx).view(), &dataset.efforts(idx));
             assert!(probs.iter().all(|&p| (0.0..=1.0).contains(&p)));
@@ -194,35 +137,27 @@ mod tests {
     }
 
     #[test]
-    fn risk_map_covers_every_cell_with_valid_values() {
+    fn prepared_surfaces_cover_every_cell_with_valid_values() {
         let (scenario, dataset, split) = small_setup();
+        let park = &scenario.park;
         let model = train(
             &dataset,
             &split,
             &quick_config(WeakLearnerKind::DecisionTree, true),
-        );
+        )
+        .into_serving();
         let prev = dataset.coverage.last().unwrap().clone();
-        let (risk, var) = model.risk_map(&scenario.park, &dataset, &prev, 1.0);
-        assert_eq!(risk.len(), scenario.park.n_cells());
-        assert_eq!(var.len(), scenario.park.n_cells());
+        let prepared = model.prepare_park(park, &dataset, &prev).unwrap();
+        let (risk, var) = model.risk_map_prepared(&prepared, 1.0);
+        assert_eq!(risk.len(), park.n_cells());
+        assert_eq!(var.len(), park.n_cells());
         assert!(risk.iter().all(|&p| (0.0..=1.0).contains(&p)));
         assert!(var.iter().all(|&v| v >= 0.0));
-    }
 
-    #[test]
-    fn park_response_has_requested_shape() {
-        let (scenario, dataset, split) = small_setup();
-        let model = train(
-            &dataset,
-            &split,
-            &quick_config(WeakLearnerKind::DecisionTree, true),
-        );
-        let prev = vec![0.0; scenario.park.n_cells()];
-        let grid = [0.0, 0.5, 1.0, 2.0];
-        let (p, v) = model.park_response(&scenario.park, &dataset, &prev, &grid);
-        assert_eq!(p.n_rows(), scenario.park.n_cells());
+        let (p, v) = model.park_response_prepared(&prepared, &[0.0, 0.5, 1.0, 2.0]);
+        assert_eq!(p.n_rows(), park.n_cells());
         assert_eq!(p.n_cols(), 4);
-        assert_eq!(v.n_rows(), scenario.park.n_cells());
+        assert_eq!(v.n_rows(), park.n_cells());
     }
 
     #[test]
@@ -232,10 +167,11 @@ mod tests {
             &dataset,
             &split,
             &quick_config(WeakLearnerKind::DecisionTree, false),
-        );
+        )
+        .into_serving();
         let prev = vec![0.0; scenario.park.n_cells()];
-        let grid = [0.0, 1.0, 4.0];
-        let (p, _) = model.park_response(&scenario.park, &dataset, &prev, &grid);
+        let prepared = model.prepare_park(&scenario.park, &dataset, &prev).unwrap();
+        let (p, _) = model.park_response_prepared(&prepared, &[0.0, 1.0, 4.0]);
         for row in p.rows() {
             assert!(row.iter().all(|&x| x == row[0]));
         }
@@ -248,17 +184,21 @@ mod tests {
             &dataset,
             &split,
             &quick_config(WeakLearnerKind::DecisionTree, true),
-        );
+        )
+        .into_serving();
         assert_eq!(model.precision(), crate::Precision::F64);
         let prev = vec![0.0; scenario.park.n_cells()];
         let grid = [0.0, 0.5, 1.0, 2.0];
-        let (p64, v64) = model.park_response(&scenario.park, &dataset, &prev, &grid);
-        let (r64, u64_) = model.risk_map(&scenario.park, &dataset, &prev, 1.0);
+        // A prepared park caches both planes, so one preparation serves
+        // the model on either side of the precision switch.
+        let prepared = model.prepare_park(&scenario.park, &dataset, &prev).unwrap();
+        let (p64, v64) = model.park_response_prepared(&prepared, &grid);
+        let (r64, u64_) = model.risk_map_prepared(&prepared, 1.0);
 
         model.set_precision(crate::Precision::F32).unwrap();
         assert_eq!(model.precision(), crate::Precision::F32);
-        let (p32, v32) = model.park_response(&scenario.park, &dataset, &prev, &grid);
-        let (r32, u32_) = model.risk_map(&scenario.park, &dataset, &prev, 1.0);
+        let (p32, v32) = model.park_response_prepared(&prepared, &grid);
+        let (r32, u32_) = model.risk_map_prepared(&prepared, 1.0);
         // Park-scale bound: the golden scenarios pin ≤ 1e-5 everywhere
         // (tests/matrix_parity.rs); on the full park feature stack a fitted
         // tree can additionally split a noise-level gap (adjacent training
@@ -287,86 +227,7 @@ mod tests {
         // And a config-selected plane applies straight out of train().
         let mut cfg = quick_config(WeakLearnerKind::DecisionTree, true);
         cfg.precision = crate::Precision::F32;
-        let configured = train(&dataset, &split, &cfg);
+        let configured = train(&dataset, &split, &cfg).into_serving();
         assert_eq!(configured.precision(), crate::Precision::F32);
-    }
-
-    #[test]
-    fn checked_serving_paths_reject_adversarial_input_and_match_trusted_ones() {
-        let (scenario, dataset, split) = small_setup();
-        let model = train(
-            &dataset,
-            &split,
-            &quick_config(WeakLearnerKind::DecisionTree, true),
-        );
-        let park = &scenario.park;
-        let prev = vec![0.0; park.n_cells()];
-        let grid = [0.0, 0.5, 1.0];
-
-        // Wrong-length coverage vector.
-        let short = vec![0.0; park.n_cells() - 1];
-        assert!(matches!(
-            model.try_risk_map(park, &dataset, &short, 1.0),
-            Err(PawsError::Input(_))
-        ));
-        // NaN-poisoned coverage vector.
-        let mut poisoned = prev.clone();
-        poisoned[0] = f64::NAN;
-        assert!(matches!(
-            model.try_park_response(park, &dataset, &poisoned, &grid),
-            Err(PawsError::Input(_))
-        ));
-        // Bad effort level / grid.
-        assert!(matches!(
-            model.try_risk_map(park, &dataset, &prev, f64::NAN),
-            Err(PawsError::Input(_))
-        ));
-        assert!(matches!(
-            model.try_park_response(park, &dataset, &prev, &[]),
-            Err(PawsError::Query(_))
-        ));
-        assert!(matches!(
-            model.try_park_response(park, &dataset, &prev, &[0.5, -1.0]),
-            Err(PawsError::Query(_))
-        ));
-
-        // Valid input: bit-identical to the trusted panicking paths.
-        let (risk, var) = model.try_risk_map(park, &dataset, &prev, 1.0).unwrap();
-        let (risk_ref, var_ref) = model.risk_map(park, &dataset, &prev, 1.0);
-        assert_eq!(risk, risk_ref);
-        assert_eq!(var, var_ref);
-        let (p, v) = model
-            .try_park_response(park, &dataset, &prev, &grid)
-            .unwrap();
-        let (p_ref, v_ref) = model.park_response(park, &dataset, &prev, &grid);
-        assert_eq!(p.as_slice(), p_ref.as_slice());
-        assert_eq!(v.as_slice(), v_ref.as_slice());
-    }
-
-    #[test]
-    fn planning_problem_builds_from_trained_model() {
-        let (scenario, dataset, split) = small_setup();
-        let model = train(
-            &dataset,
-            &split,
-            &quick_config(WeakLearnerKind::DecisionTree, true),
-        );
-        let prev = vec![0.0; scenario.park.n_cells()];
-        let grid = [0.0, 0.5, 1.0, 2.0, 4.0];
-        let problem = build_planning_problem(
-            &scenario.park,
-            &model,
-            &dataset,
-            &prev,
-            scenario.park.patrol_posts[0],
-            &grid,
-            8.0,
-            2,
-            0.8,
-        );
-        assert!(problem.n_cells() > 1);
-        assert_eq!(problem.beta, 0.8);
-        let plan = paws_plan::plan(&problem, &paws_plan::PlannerConfig::default());
-        assert!(plan.coverage.iter().sum::<f64>() <= problem.budget_km() + 1e-6);
     }
 }

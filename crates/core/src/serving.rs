@@ -12,16 +12,17 @@
 //!   the artifact is immutable for as long as it serves.
 //! * [`PreparedPark`] — a park's assembled feature stack standardised
 //!   **once** and narrowed to the f32 plane **once**
-//!   ([`StandardScaler::transform_planes_in_place`]). Every subsequent
-//!   risk-map / response-surface query on the prepared park skips the
-//!   per-call standardise+narrow pass entirely; this is what turns the f32
-//!   plane's bandwidth advantage back into a net win on 50k-cell parks
-//!   (BENCH_5 measured the per-call narrowing eating it: 0.84×).
+//!   ([`StandardScaler::transform_planes_in_place`]). It is the only way
+//!   to query a park: [`ServingModel::prepare_park`] validates the
+//!   coverage vector and the assembled stack, and every risk-map /
+//!   response-surface / planning-problem query then runs traversal only.
+//!   Paying the standardise+narrow pass per call is what BENCH_5 measured
+//!   eating the f32 plane's bandwidth advantage on 50k-cell parks (0.84×).
 //!
-//! Every prepared query path is bit-identical to its unprepared sibling on
-//! [`crate::pipeline::TrainedModel`]: the cached f64 plane is exactly the
-//! in-place standardised matrix the unprepared path builds per call, and the
-//! cached f32 plane is exactly its one-pass narrowing.
+//! The cached f64 plane is exactly [`StandardScaler::transform`] of the raw
+//! stack and the cached f32 plane exactly [`StandardScaler::transform_f32`],
+//! so a prepared risk map is bit-identical to
+//! [`ServingModel::predict_with_variance`] on the raw rows.
 
 use crate::config::ModelConfig;
 use crate::error::PawsError;
@@ -66,7 +67,7 @@ pub struct ServingModel {
 /// specific [`ServingModel`]'s scaler.
 ///
 /// Holds both precision planes: the standardised f64 matrix (bit-identical
-/// to what the unprepared query paths compute per call) and its f32
+/// to [`StandardScaler::transform`] on the raw rows) and its f32
 /// narrowing (bit-identical to [`StandardScaler::transform_f32`] on the raw
 /// rows). Build one per (park, previous-coverage) pair via
 /// [`ServingModel::prepare_park`] and reuse it across queries; rebuild it
@@ -249,14 +250,19 @@ impl ServingModel {
         self.scaler.n_features()
     }
 
-    /// Validate a coverage vector + the assembled park feature stack
-    /// before it reaches the unchecked traversal kernels.
-    fn checked_feature_matrix(
+    /// Assemble, validate, standardise and narrow a park's feature stack
+    /// once, caching both precision planes for repeated queries.
+    ///
+    /// # Errors
+    /// [`PawsError::Input`] for a coverage vector whose length does not
+    /// match the park or that holds NaN/∞; [`PawsError::Query`] for an
+    /// assembled stack that is empty, width-mismatched or non-finite.
+    pub fn prepare_park(
         &self,
         park: &Park,
         dataset: &Dataset,
         prev_coverage: &[f64],
-    ) -> Result<Matrix, PawsError> {
+    ) -> Result<PreparedPark, PawsError> {
         if prev_coverage.len() != park.n_cells() {
             return Err(PawsError::Input(
                 "previous-coverage length does not match the park's cell count",
@@ -267,25 +273,7 @@ impl ServingModel {
                 "previous coverage must be finite (found NaN or infinity)",
             ));
         }
-        let rows = dataset.full_feature_matrix(park, prev_coverage);
-        validate_query(rows.view(), self.scaler.n_features())?;
-        Ok(rows)
-    }
-
-    /// Assemble, validate, standardise and narrow a park's feature stack
-    /// once, caching both precision planes for repeated queries.
-    ///
-    /// # Errors
-    /// [`PawsError::Input`] / [`PawsError::Query`] exactly as
-    /// [`ServingModel::try_risk_map`] would reject the same inputs.
-    pub fn prepare_park(
-        &self,
-        park: &Park,
-        dataset: &Dataset,
-        prev_coverage: &[f64],
-    ) -> Result<PreparedPark, PawsError> {
-        let rows = self.checked_feature_matrix(park, dataset, prev_coverage)?;
-        self.prepare_rows(rows)
+        self.prepare_rows(dataset.full_feature_matrix(park, prev_coverage))
     }
 
     /// [`ServingModel::prepare_park`] for an already-assembled **raw**
@@ -316,9 +304,9 @@ impl ServingModel {
         Ok(())
     }
 
-    /// [`ServingModel::risk_map`] on a prepared park: zero per-call
-    /// standardise/narrow work. Bit-identical to the unprepared path on the
-    /// same raw feature stack.
+    /// Predicted risk and uncertainty for every in-park cell at a single
+    /// prospective patrol-effort level (one panel of Fig. 6), off the
+    /// prepared planes: zero per-call standardise/narrow work.
     ///
     /// Parks large enough to carry multiple spatial shards fan them across
     /// the worker pool and stitch the per-shard surfaces back in row order;
@@ -393,9 +381,11 @@ impl ServingModel {
         Ok(self.risk_map_prepared(prepared, effort_km))
     }
 
-    /// [`ServingModel::park_response`] on a prepared park: the response
-    /// surfaces are served straight off the cached plane matching the
-    /// model's precision. Bit-identical to the unprepared path.
+    /// Response curves g_v(c), ν_v(c) for every in-park cell over a grid of
+    /// prospective effort levels — the planner's input, as flat
+    /// `cells × effort-levels` matrices — served straight off the cached
+    /// plane matching the model's precision. A plain ensemble has no notion
+    /// of prospective effort, so its surfaces are constant across levels.
     ///
     /// Like [`ServingModel::risk_map_prepared`], multi-shard parks fan the
     /// shards across the worker pool; the per-shard response matrices are
@@ -474,8 +464,8 @@ impl ServingModel {
 
     /// Build a patrol-planning problem for one post from a prepared park:
     /// the response surfaces come off the cached planes, then flow through
-    /// the same squash + game construction as
-    /// [`crate::pipeline::build_planning_problem`].
+    /// [`try_planning_problem_from_response`]'s guards, squash and game
+    /// construction.
     #[allow(clippy::too_many_arguments)]
     pub fn try_planning_problem_prepared(
         &self,
@@ -498,97 +488,6 @@ impl ServingModel {
             n_patrols,
             beta,
         )
-    }
-
-    /// [`ServingModel::risk_map`] with the adversarial-input guard: the
-    /// coverage vector, effort level and assembled feature stack are
-    /// validated and rejected with a typed [`PawsError`] instead of
-    /// flowing NaN through the arena comparisons. This is the serving
-    /// entry point; the panicking sibling stays for trusted in-process
-    /// callers.
-    pub fn try_risk_map(
-        &self,
-        park: &Park,
-        dataset: &Dataset,
-        prev_coverage: &[f64],
-        effort_km: f64,
-    ) -> Result<(Vec<f64>, Vec<f64>), PawsError> {
-        if !effort_km.is_finite() || effort_km < 0.0 {
-            return Err(PawsError::Input(
-                "effort level must be finite and non-negative",
-            ));
-        }
-        let rows = self.checked_feature_matrix(park, dataset, prev_coverage)?;
-        let efforts = vec![effort_km; rows.n_rows()];
-        Ok(self.predict_with_variance(rows.view(), &efforts))
-    }
-
-    /// [`ServingModel::park_response`] with the adversarial-input guard
-    /// (see [`ServingModel::try_risk_map`]); additionally validates the
-    /// effort grid (non-empty, finite, non-negative levels).
-    pub fn try_park_response(
-        &self,
-        park: &Park,
-        dataset: &Dataset,
-        prev_coverage: &[f64],
-        effort_grid: &[f64],
-    ) -> Result<(Matrix, Matrix), PawsError> {
-        validate_effort_grid(effort_grid).map_err(PawsError::Query)?;
-        let rows = self.checked_feature_matrix(park, dataset, prev_coverage)?;
-        Ok(self.park_response_from(rows, effort_grid))
-    }
-
-    /// Predicted risk and uncertainty for every in-park cell at a single
-    /// prospective patrol-effort level (one panel of Fig. 6).
-    pub fn risk_map(
-        &self,
-        park: &Park,
-        dataset: &Dataset,
-        prev_coverage: &[f64],
-        effort_km: f64,
-    ) -> (Vec<f64>, Vec<f64>) {
-        let rows = dataset.full_feature_matrix(park, prev_coverage);
-        let efforts = vec![effort_km; rows.n_rows()];
-        self.predict_with_variance(rows.view(), &efforts)
-    }
-
-    /// Response curves g_v(c), ν_v(c) for every in-park cell over a grid of
-    /// prospective effort levels — the planner's input, as flat
-    /// `cells × effort-levels` matrices.
-    pub fn park_response(
-        &self,
-        park: &Park,
-        dataset: &Dataset,
-        prev_coverage: &[f64],
-        effort_grid: &[f64],
-    ) -> (Matrix, Matrix) {
-        let rows = dataset.full_feature_matrix(park, prev_coverage);
-        self.park_response_from(rows, effort_grid)
-    }
-
-    fn park_response_from(&self, mut rows: Matrix, effort_grid: &[f64]) -> (Matrix, Matrix) {
-        // The f32-plane iWare path fuses standardisation and narrowing into
-        // one pass (`StandardScaler::transform_f32` computes the z-score in
-        // f64 and narrows once — bit-identical to transforming in place and
-        // narrowing afterwards) and serves the fused arena natively.
-        if let FittedModel::IWare(m) = &self.fitted {
-            if m.precision() == Precision::F32 {
-                let rows32 = self.scaler.transform_f32(rows.view());
-                if let Some(response) = m.effort_response32(rows32.view(), effort_grid) {
-                    return response;
-                }
-            }
-        }
-        self.scaler.transform_in_place(&mut rows);
-        match &self.fitted {
-            FittedModel::IWare(m) => m.effort_response(rows.view(), effort_grid),
-            FittedModel::Plain(m) => {
-                // A plain ensemble has no notion of prospective effort: its
-                // prediction and variance are constant across effort levels.
-                let (p, v) = m.predict_with_variance(rows.view());
-                broadcast_constant_response(&p, &v, effort_grid.len())
-            }
-        }
     }
 }
 
@@ -662,7 +561,7 @@ fn broadcast_constant_response(p: &[f64], v: &[f64], n_levels: usize) -> (Matrix
 mod tests {
     use super::*;
     use crate::config::WeakLearnerKind;
-    use crate::pipeline::{build_planning_problem, train, TrainedModel};
+    use crate::pipeline::train;
     use crate::scenario::Scenario;
     use paws_data::{build_dataset, split_by_test_year, Discretization, TrainTestSplit};
     use std::sync::Arc;
@@ -684,27 +583,33 @@ mod tests {
         cfg
     }
 
-    /// Every (variant, plane) combination must serve the exact
-    /// same bits off the cached planes as the unprepared per-call paths.
+    /// Every (variant, plane) combination must serve off the cached planes
+    /// the exact bits the model computes on freshly standardised rows:
+    /// risk maps against `predict_with_variance` on the raw stack, response
+    /// surfaces against the ensemble's own kernels on `transform` /
+    /// `transform_f32` output.
     #[test]
-    fn prepared_queries_are_bit_identical_to_unprepared_ones() {
+    fn prepared_queries_are_bit_identical_to_direct_evaluation() {
         let (scenario, dataset, split) = small_setup();
         let park = &scenario.park;
         let prev = dataset.coverage.last().unwrap().clone();
+        let raw = dataset.full_feature_matrix(park, &prev);
+        let efforts = vec![1.0; raw.n_rows()];
         let grid = [0.0, 0.5, 1.0, 2.0];
         for use_iware in [true, false] {
             let mut model = train(
                 &dataset,
                 &split,
                 &quick_config(WeakLearnerKind::DecisionTree, use_iware),
-            );
+            )
+            .into_serving();
             for precision in [Precision::F64, Precision::F32] {
                 model.set_precision(precision).unwrap();
                 let prepared = model.prepare_park(park, &dataset, &prev).unwrap();
                 assert_eq!(prepared.n_cells(), park.n_cells());
                 assert_eq!(prepared.n_features(), model.n_features());
 
-                let (r_ref, u_ref) = model.risk_map(park, &dataset, &prev, 1.0);
+                let (r_ref, u_ref) = model.predict_with_variance(raw.view(), &efforts);
                 let (r, u) = model.risk_map_prepared(&prepared, 1.0);
                 assert_eq!(r, r_ref, "risk {use_iware} {precision:?}");
                 assert_eq!(u, u_ref, "uncertainty {use_iware} {precision:?}");
@@ -712,7 +617,18 @@ mod tests {
                 assert_eq!(rt, r_ref);
                 assert_eq!(ut, u_ref);
 
-                let (p_ref, v_ref) = model.park_response(park, &dataset, &prev, &grid);
+                let (p_ref, v_ref) = match (&model.fitted, precision) {
+                    (FittedModel::IWare(m), Precision::F64) => {
+                        m.effort_response(model.scaler.transform(raw.view()).view(), &grid)
+                    }
+                    (FittedModel::IWare(m), Precision::F32) => m
+                        .effort_response32(model.scaler.transform_f32(raw.view()).view(), &grid)
+                        .expect("the f32 plane is narrowed"),
+                    // A plain ensemble's risk map is effort-independent.
+                    (FittedModel::Plain(_), _) => {
+                        broadcast_constant_response(&r_ref, &u_ref, grid.len())
+                    }
+                };
                 let (p, v) = model.park_response_prepared(&prepared, &grid);
                 assert_eq!(p.as_slice(), p_ref.as_slice());
                 assert_eq!(v.as_slice(), v_ref.as_slice());
@@ -721,6 +637,54 @@ mod tests {
                 assert_eq!(vt.as_slice(), v_ref.as_slice());
             }
         }
+    }
+
+    /// The prepared planning path must build the same game as an
+    /// independent construction from the prepared response: squash the
+    /// raw variances, then `PlanningProblem::from_response` with the
+    /// caller's β.
+    #[test]
+    fn prepared_planning_problem_matches_the_direct_construction() {
+        let (scenario, dataset, split) = small_setup();
+        let park = &scenario.park;
+        let model = train(
+            &dataset,
+            &split,
+            &quick_config(WeakLearnerKind::DecisionTree, true),
+        )
+        .into_serving();
+        let prev = vec![0.0; park.n_cells()];
+        let grid = [0.0, 0.5, 1.0, 2.0, 4.0];
+        let post = park.patrol_posts[0];
+        let prepared = model.prepare_park(park, &dataset, &prev).unwrap();
+        let (p, v) = model.park_response_prepared(&prepared, &grid);
+        let reference = PlanningProblem::from_response(
+            park,
+            post,
+            &grid,
+            &p,
+            &squash_matrix(&v).1,
+            8.0,
+            2,
+            0.8,
+        );
+        let problem = model
+            .try_planning_problem_prepared(park, &prepared, post, &grid, 8.0, 2, 0.8)
+            .unwrap();
+        assert!(problem.n_cells() > 1);
+        assert_eq!(problem.n_cells(), reference.n_cells());
+        assert_eq!(problem.beta, 0.8);
+        assert_eq!(problem.beta, reference.beta);
+        for (got, want) in problem.cells.iter().zip(&reference.cells) {
+            assert_eq!(got.cell, want.cell);
+            assert_eq!(got.g, want.g, "detection curve of {:?}", got.cell);
+            assert_eq!(got.nu, want.nu, "squashed variance of {:?}", got.cell);
+        }
+        let config = paws_plan::PlannerConfig::default();
+        let plan = paws_plan::try_plan(&problem, &config).unwrap();
+        let reference_plan = paws_plan::try_plan(&reference, &config).unwrap();
+        assert_eq!(plan.coverage, reference_plan.coverage);
+        assert!(plan.coverage.iter().sum::<f64>() <= problem.budget_km() + 1e-6);
     }
 
     #[test]
@@ -770,7 +734,8 @@ mod tests {
                 &dataset,
                 &split,
                 &quick_config(WeakLearnerKind::DecisionTree, use_iware),
-            );
+            )
+            .into_serving();
             for precision in [Precision::F64, Precision::F32] {
                 model.set_precision(precision).unwrap();
                 let prepared = model.prepare_park(park, &dataset, &prev).unwrap();
@@ -813,31 +778,6 @@ mod tests {
     }
 
     #[test]
-    fn prepared_planning_problem_matches_the_unprepared_construction() {
-        let (scenario, dataset, split) = small_setup();
-        let park = &scenario.park;
-        let model = train(
-            &dataset,
-            &split,
-            &quick_config(WeakLearnerKind::DecisionTree, true),
-        );
-        let prev = vec![0.0; park.n_cells()];
-        let grid = [0.0, 0.5, 1.0, 2.0, 4.0];
-        let post = park.patrol_posts[0];
-        let reference =
-            build_planning_problem(park, &model, &dataset, &prev, post, &grid, 8.0, 2, 0.8);
-        let prepared = model.prepare_park(park, &dataset, &prev).unwrap();
-        let problem = model
-            .try_planning_problem_prepared(park, &prepared, post, &grid, 8.0, 2, 0.8)
-            .unwrap();
-        assert_eq!(problem.n_cells(), reference.n_cells());
-        assert_eq!(problem.beta, reference.beta);
-        let reference_plan = paws_plan::plan(&reference, &paws_plan::PlannerConfig::default());
-        let plan = paws_plan::plan(&problem, &paws_plan::PlannerConfig::default());
-        assert_eq!(plan.coverage, reference_plan.coverage);
-    }
-
-    #[test]
     fn prepared_guards_reject_bad_queries_and_mismatched_artifacts() {
         let (scenario, dataset, split) = small_setup();
         let park = &scenario.park;
@@ -845,10 +785,12 @@ mod tests {
             &dataset,
             &split,
             &quick_config(WeakLearnerKind::DecisionTree, true),
-        );
+        )
+        .into_serving();
         let prev = vec![0.0; park.n_cells()];
 
-        // prepare_park applies the same input guards as try_risk_map.
+        // prepare_park rejects a coverage vector of the wrong length or
+        // holding NaN before any feature row is assembled.
         let short = vec![0.0; park.n_cells() - 1];
         assert!(matches!(
             model.prepare_park(park, &dataset, &short),
@@ -878,6 +820,10 @@ mod tests {
             model.try_park_response_prepared(&prepared, &[0.5, f64::NAN]),
             Err(PawsError::Query(_))
         ));
+        assert!(matches!(
+            model.try_park_response_prepared(&prepared, &[0.5, -1.0]),
+            Err(PawsError::Query(_))
+        ));
 
         // A prepared stack whose feature width does not match the model's
         // scaler is refused before it can reach the kernels.
@@ -904,7 +850,8 @@ mod tests {
             &dataset,
             &split,
             &quick_config(WeakLearnerKind::DecisionTree, true),
-        );
+        )
+        .into_serving();
         let prev = vec![0.0; park.n_cells()];
         let grid = [0.0, 0.5, 1.0, 2.0];
         let bytes = model.to_stack_snapshot().expect("tree stack snapshots");
@@ -913,13 +860,14 @@ mod tests {
             ServingModel::from_stack_snapshot(&bytes, model.config.clone(), model.scaler.clone())
                 .expect("snapshot rehydrates");
         assert_eq!(rehydrated.precision(), model.precision());
-        let (r_ref, u_ref) = model.risk_map(park, &dataset, &prev, 1.0);
-        let (r, u) = rehydrated.risk_map(park, &dataset, &prev, 1.0);
+        let prepared = model.prepare_park(park, &dataset, &prev).unwrap();
+        let prepared_rehydrated = rehydrated.prepare_park(park, &dataset, &prev).unwrap();
+        let (r_ref, u_ref) = model.risk_map_prepared(&prepared, 1.0);
+        let (r, u) = rehydrated.risk_map_prepared(&prepared_rehydrated, 1.0);
         assert_eq!(r, r_ref);
         assert_eq!(u, u_ref);
-        let prepared = rehydrated.prepare_park(park, &dataset, &prev).unwrap();
-        let (p_ref, v_ref) = model.park_response(park, &dataset, &prev, &grid);
-        let (p, v) = rehydrated.park_response_prepared(&prepared, &grid);
+        let (p_ref, v_ref) = model.park_response_prepared(&prepared, &grid);
+        let (p, v) = rehydrated.park_response_prepared(&prepared_rehydrated, &grid);
         assert_eq!(p.as_slice(), p_ref.as_slice());
         assert_eq!(v.as_slice(), v_ref.as_slice());
 
@@ -939,21 +887,23 @@ mod tests {
     }
 
     #[test]
-    fn facade_round_trips_and_the_artifact_shares_behind_an_arc() {
+    fn the_artifact_shares_behind_an_arc() {
         let (scenario, dataset, split) = small_setup();
         let park = &scenario.park;
-        let model = train(
+        let artifact = train(
             &dataset,
             &split,
             &quick_config(WeakLearnerKind::DecisionTree, true),
-        );
+        )
+        .into_serving();
         let prev = vec![0.0; park.n_cells()];
-        let (r_ref, _) = model.risk_map(park, &dataset, &prev, 1.0);
+        let prepared = artifact.prepare_park(park, &dataset, &prev).unwrap();
+        let (r_ref, _) = artifact.risk_map_prepared(&prepared, 1.0);
 
-        // Facade → artifact → Arc: the shared artifact serves the same bits
-        // from plain `&self`, concurrently.
-        let artifact: Arc<ServingModel> = Arc::new(model.into_serving());
-        let prepared = Arc::new(artifact.prepare_park(park, &dataset, &prev).unwrap());
+        // The shared artifact serves the same bits from plain `&self`,
+        // concurrently.
+        let artifact = Arc::new(artifact);
+        let prepared = Arc::new(prepared);
         let handles: Vec<_> = (0..4)
             .map(|_| {
                 let artifact = Arc::clone(&artifact);
@@ -964,11 +914,5 @@ mod tests {
         for h in handles {
             assert_eq!(h.join().unwrap(), r_ref);
         }
-
-        // And back into the facade for fit-time callers.
-        let artifact = Arc::try_unwrap(artifact).ok().expect("sole owner again");
-        let model = TrainedModel::from_serving(artifact);
-        let (r, _) = model.risk_map(park, &dataset, &prev, 1.0);
-        assert_eq!(r, r_ref);
     }
 }

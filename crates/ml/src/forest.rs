@@ -529,7 +529,7 @@ impl Forest {
     }
 
     /// The raw arena parts `(nodes, leaf_values, roots, depths)` — the
-    /// narrowing input of [`crate::forest32::Forest32::from_forest`].
+    /// narrowing input of [`crate::forest32::Forest32::try_from_forest`].
     pub(crate) fn arena_parts(&self) -> (&[ArenaNode], &[f64], &[u32], &[u32]) {
         (&self.nodes, &self.leaf_values, &self.roots, &self.depths)
     }

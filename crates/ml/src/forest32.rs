@@ -18,7 +18,7 @@
 //!
 //! A `Forest32` is a **derived cache**, never a source of truth: training,
 //! serialization and the golden parity surface all stay on the f64
-//! [`Forest`]. Conversion ([`Forest32::from_forest`]) narrows each split
+//! [`Forest`]. Conversion ([`Forest32::try_from_forest`]) narrows each split
 //! threshold **downward** to the largest f32 ≤ t (see `narrow_threshold`),
 //! which makes the plane's semantics exact: a `Forest32` traversal decides
 //! every comparison precisely as the f64 tree would decide it for the
@@ -218,19 +218,9 @@ impl Forest32 {
     /// and leaf probabilities are rounded to nearest f32; topology is
     /// copied verbatim (re-packed into the 24/8-bit word).
     ///
-    /// # Panics
-    /// Panics when the arena exceeds the packing limits (2²⁴ nodes / 256
-    /// features) or is empty; [`Forest32::try_from_forest`] surfaces those
-    /// cases as a typed [`NarrowError`] instead.
-    pub fn from_forest(forest: &Forest) -> Self {
-        match Self::try_from_forest(forest) {
-            Ok(f) => f,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible narrowing: [`Forest32::from_forest`] with the packing caps
-    /// reported as a typed error instead of a panic.
+    /// # Errors
+    /// [`NarrowError`] when the arena exceeds the packing limits (2²⁴
+    /// nodes / 256 features) or is empty.
     pub fn try_from_forest(forest: &Forest) -> Result<Self, NarrowError> {
         let (nodes, leaf_values, roots, depths) = forest.arena_parts();
         if roots.is_empty() {
@@ -500,7 +490,7 @@ mod tests {
     #[test]
     fn conversion_preserves_topology_and_narrows_values() {
         let (_, forest) = fitted_forest(5);
-        let f32forest = Forest32::from_forest(&forest);
+        let f32forest = Forest32::try_from_forest(&forest).expect("forest fits the f32 plane");
         assert_eq!(f32forest.n_trees(), forest.n_trees());
         assert_eq!(f32forest.n_nodes(), forest.n_nodes());
         assert_eq!(f32forest.n_features(), forest.n_features());
@@ -531,7 +521,7 @@ mod tests {
     #[test]
     fn batch_traversal_is_bit_identical_to_per_row_walks() {
         let (x, forest) = fitted_forest(5);
-        let f32forest = Forest32::from_forest(&forest);
+        let f32forest = Forest32::try_from_forest(&forest).expect("forest fits the f32 plane");
         let q = Matrix32::from_f64(x.view());
         let batch = f32forest.predict_proba_batch(q.view());
         for t in 0..f32forest.n_trees() {
@@ -544,7 +534,7 @@ mod tests {
     #[test]
     fn block_traversal_matches_the_full_batch() {
         let (x, forest) = fitted_forest(4);
-        let f32forest = Forest32::from_forest(&forest);
+        let f32forest = Forest32::try_from_forest(&forest).expect("forest fits the f32 plane");
         let q = Matrix32::from_f64(x.view());
         let batch = f32forest.predict_proba_batch(q.view());
         let (start, len) = (17, 40);
@@ -626,34 +616,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "feature width exceeds the 8-bit feature field")]
-    fn from_forest_panics_on_the_feature_cap() {
-        use crate::forest::RawNode;
-        let mut forest = Forest::new(257);
-        forest.push_raw_tree(&[
-            RawNode::Split {
-                feature: 256,
-                threshold: 0.5,
-                left: 1,
-                right: 2,
-            },
-            RawNode::Leaf { value: 0.0 },
-            RawNode::Leaf { value: 1.0 },
-        ]);
-        let _ = Forest32::from_forest(&forest);
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot narrow an empty forest")]
-    fn from_forest_panics_on_empty_forests() {
-        let _ = Forest32::from_forest(&Forest::new(3));
-    }
-
-    #[test]
     #[should_panic(expected = "prediction features must be finite")]
     fn rejects_non_finite_queries() {
         let (x, forest) = fitted_forest(1);
-        let f32forest = Forest32::from_forest(&forest);
+        let f32forest = Forest32::try_from_forest(&forest).expect("forest fits the f32 plane");
         let mut q = Matrix32::from_f64(x.view());
         q.row_mut(0)[1] = f32::NAN;
         let _ = f32forest.predict_proba_batch(q.view());

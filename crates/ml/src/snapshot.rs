@@ -855,7 +855,7 @@ mod tests {
 
     #[test]
     fn forest32_round_trip_is_bit_identical() {
-        let f = Forest32::from_forest(&sample_forest());
+        let f = Forest32::try_from_forest(&sample_forest()).expect("forest fits the f32 plane");
         let bytes = write_forest32(&f);
         let g = read_forest32(&bytes).expect("valid snapshot");
         assert_eq!(write_forest32(&g), bytes);

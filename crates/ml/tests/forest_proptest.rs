@@ -169,7 +169,7 @@ fn check_case(seed: u64, n_trees_max: usize, max_depth: usize) {
     }
 
     // f32 plane: narrowed arena per-row walk vs batch kernel, bit-tight.
-    let forest32 = Forest32::from_forest(&forest);
+    let forest32 = Forest32::try_from_forest(&forest).expect("forest fits the f32 plane");
     let q32 = Matrix32::from_f64(x.view());
     let arena32 = forest32.predict_proba_batch(q32.view());
     for t in 0..n_trees {
@@ -284,7 +284,7 @@ fn infinite_thresholds_pin_a_branch_in_every_engine() {
     }
     // The f32 plane narrows ±∞ thresholds to themselves and saturates the
     // ±1e308 queries at ±f32::MAX — same branches everywhere.
-    let forest32 = Forest32::from_forest(&forest);
+    let forest32 = Forest32::try_from_forest(&forest).expect("forest fits the f32 plane");
     let q32 = Matrix32::from_f64(x.view());
     let arena32 = forest32.predict_proba_batch(q32.view());
     for (r, row) in q32.rows().enumerate() {

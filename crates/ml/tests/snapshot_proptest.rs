@@ -101,7 +101,7 @@ fn check_round_trip(seed: u64) {
     );
 
     // f32 plane.
-    let forest32 = Forest32::from_forest(&forest);
+    let forest32 = Forest32::try_from_forest(&forest).expect("forest fits the f32 plane");
     let bytes32 = write_forest32(&forest32);
     let loaded32 = read_forest32(&bytes32).expect("clean f32 snapshot decodes");
     assert_eq!(write_forest32(&loaded32), bytes32);
@@ -157,7 +157,7 @@ fn check_bit_flips(seed: u64) {
 fn check_header_mutations(seed: u64) {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let forest = random_forest(&mut rng);
-    let forest32 = Forest32::from_forest(&forest);
+    let forest32 = Forest32::try_from_forest(&forest).expect("forest fits the f32 plane");
     let bytes = write_forest(&forest);
 
     // Wrong magic.

@@ -7,7 +7,7 @@
 //! at a given β to the baseline of β = 0, Uβ(Cβ)/Uβ(Cβ=0)."
 
 use crate::game::PlanningProblem;
-use crate::planner::{plan, try_plan, PlanError, PlannerConfig};
+use crate::planner::{try_plan, PatrolPlan, PlanError, PlannerConfig};
 use serde::{Deserialize, Serialize};
 
 /// Result of comparing a robust plan against the non-robust baseline.
@@ -31,25 +31,25 @@ pub struct RobustComparison {
 /// Compute the Fig. 8 ratio for one planning problem: plan with β = 0 and
 /// with `problem.beta`, evaluate both under the β-weighted objective.
 ///
-/// # Panics
-/// Panics when either plan's utility PWLs cannot be built; use
-/// [`try_compare_robust_vs_baseline`] to handle that as an error.
-pub fn compare_robust_vs_baseline(
-    problem: &PlanningProblem,
-    config: &PlannerConfig,
-) -> RobustComparison {
-    try_compare_robust_vs_baseline(problem, config)
-        .unwrap_or_else(|e| panic!("robust-vs-baseline comparison failed: {e}"))
-}
-
-/// Checked Fig. 8 comparison: a degenerate piecewise-linear utility or a
-/// malformed optimisation model surfaces as the [`PlanError`] the planner
-/// hit (e.g. [`PlanError::Pwl`] for an empty curve) instead of a panic
-/// mid-evaluation.
+/// # Errors
+/// A degenerate piecewise-linear utility or a malformed optimisation model
+/// surfaces as the [`PlanError`] the planner hit (e.g. [`PlanError::Pwl`]
+/// for an empty curve) instead of a panic mid-evaluation.
 pub fn try_compare_robust_vs_baseline(
     problem: &PlanningProblem,
     config: &PlannerConfig,
 ) -> Result<RobustComparison, PlanError> {
+    solve_and_compare(problem, config).map(|(cmp, _, _)| cmp)
+}
+
+/// Solve the baseline (β = 0) and robust plans once and score them under
+/// the β-weighted objective; the two plans come back alongside the
+/// comparison as `(comparison, baseline, robust)` so callers can score
+/// them further without re-solving.
+fn solve_and_compare(
+    problem: &PlanningProblem,
+    config: &PlannerConfig,
+) -> Result<(RobustComparison, PatrolPlan, PatrolPlan), PlanError> {
     let beta = problem.beta;
     let mut baseline_problem = problem.clone();
     baseline_problem.beta = 0.0;
@@ -58,14 +58,15 @@ pub fn try_compare_robust_vs_baseline(
 
     let baseline_utility = problem.coverage_utility(&baseline.coverage, beta).max(1e-9);
     let robust_utility = problem.coverage_utility(&robust.coverage, beta);
-    Ok(RobustComparison {
+    let cmp = RobustComparison {
         beta,
         robust_utility,
         baseline_utility,
         improvement_ratio: robust_utility / baseline_utility,
         robust_detections: 0.0,
         baseline_detections: 0.0,
-    })
+    };
+    Ok((cmp, baseline, robust))
 }
 
 /// Expected number of snare detections of a coverage vector under a ground
@@ -98,23 +99,25 @@ pub fn expected_detections(
 
 /// Full comparison including ground-truth detections: the robust and
 /// baseline plans are both scored by expected snares found, which is how the
-/// paper arrives at the "+30 % detections on average" claim.
+/// paper arrives at the "+30 % detections on average" claim. Each plan is
+/// solved once and scored under both the β-weighted objective and the
+/// ground truth.
+///
+/// # Errors
+/// The [`PlanError`] either solve hit, as for
+/// [`try_compare_robust_vs_baseline`].
 pub fn compare_with_ground_truth(
     problem: &PlanningProblem,
     config: &PlannerConfig,
     attack_probability: &[f64],
     detection: impl Fn(f64) -> f64 + Copy,
-) -> RobustComparison {
-    let mut cmp = compare_robust_vs_baseline(problem, config);
-    let mut baseline_problem = problem.clone();
-    baseline_problem.beta = 0.0;
-    let baseline = plan(&baseline_problem, config);
-    let robust = plan(problem, config);
+) -> Result<RobustComparison, PlanError> {
+    let (mut cmp, baseline, robust) = solve_and_compare(problem, config)?;
     cmp.baseline_detections =
         expected_detections(problem, &baseline.coverage, attack_probability, detection);
     cmp.robust_detections =
         expected_detections(problem, &robust.coverage, attack_probability, detection);
-    cmp
+    Ok(cmp)
 }
 
 #[cfg(test)]
@@ -159,7 +162,7 @@ mod tests {
     #[test]
     fn ratio_is_one_when_beta_is_zero() {
         let problem = uncertain_problem(0.0);
-        let cmp = compare_robust_vs_baseline(&problem, &PlannerConfig::default());
+        let cmp = try_compare_robust_vs_baseline(&problem, &PlannerConfig::default()).unwrap();
         assert!((cmp.improvement_ratio - 1.0).abs() < 1e-6);
     }
 
@@ -167,7 +170,7 @@ mod tests {
     fn robust_plan_never_loses_under_its_own_objective() {
         for beta in [0.5, 0.8, 1.0] {
             let problem = uncertain_problem(beta);
-            let cmp = compare_robust_vs_baseline(&problem, &PlannerConfig::default());
+            let cmp = try_compare_robust_vs_baseline(&problem, &PlannerConfig::default()).unwrap();
             assert!(
                 cmp.improvement_ratio >= 1.0 - 1e-6,
                 "beta={beta}: ratio {} < 1",
@@ -178,13 +181,14 @@ mod tests {
 
     #[test]
     fn ratio_grows_with_beta_for_uncertainty_correlated_risk() {
-        let low = compare_robust_vs_baseline(&uncertain_problem(0.3), &PlannerConfig::default());
-        let high = compare_robust_vs_baseline(&uncertain_problem(1.0), &PlannerConfig::default());
+        let config = PlannerConfig::default();
+        let low = try_compare_robust_vs_baseline(&uncertain_problem(0.3), &config).unwrap();
+        let high = try_compare_robust_vs_baseline(&uncertain_problem(1.0), &config).unwrap();
         assert!(high.improvement_ratio >= low.improvement_ratio - 1e-6);
     }
 
     #[test]
-    fn try_comparison_propagates_pwl_errors_and_matches_panicking_path() {
+    fn comparison_propagates_pwl_errors() {
         use crate::pwl::PwlError;
         let problem = uncertain_problem(0.5);
         // A degenerate PWL request (zero segments) propagates as an error
@@ -197,11 +201,10 @@ mod tests {
             try_compare_robust_vs_baseline(&problem, &bad).err(),
             Some(PlanError::Pwl(PwlError::Empty))
         );
-        // On a well-posed problem the checked path returns exactly what the
-        // panicking wrapper returns.
-        let ok = try_compare_robust_vs_baseline(&problem, &PlannerConfig::default()).unwrap();
-        let reference = compare_robust_vs_baseline(&problem, &PlannerConfig::default());
-        assert_eq!(ok.improvement_ratio, reference.improvement_ratio);
+        assert_eq!(
+            compare_with_ground_truth(&problem, &bad, &[], |c| c).err(),
+            Some(PlanError::Pwl(PwlError::Empty))
+        );
     }
 
     #[test]
@@ -218,14 +221,41 @@ mod tests {
     #[test]
     fn ground_truth_comparison_populates_detections() {
         let problem = uncertain_problem(0.9);
+        let config = PlannerConfig::default();
         let attack: Vec<f64> = (0..problem.n_cells())
             .map(|i| 0.05 + 0.002 * (i % 10) as f64)
             .collect();
-        let cmp = compare_with_ground_truth(&problem, &PlannerConfig::default(), &attack, |c| {
-            1.0 - (-0.9 * c).exp()
-        });
+        let detect = |c: f64| 1.0 - (-0.9 * c).exp();
+        let cmp = compare_with_ground_truth(&problem, &config, &attack, detect).unwrap();
         assert!(cmp.robust_detections > 0.0);
         assert!(cmp.baseline_detections > 0.0);
         assert!(cmp.improvement_ratio >= 1.0 - 1e-6);
+
+        // The utility half is exactly the plain comparison's, bit for bit.
+        let plain = try_compare_robust_vs_baseline(&problem, &config).unwrap();
+        assert_eq!(cmp.robust_utility.to_bits(), plain.robust_utility.to_bits());
+        assert_eq!(
+            cmp.baseline_utility.to_bits(),
+            plain.baseline_utility.to_bits()
+        );
+        assert_eq!(
+            cmp.improvement_ratio.to_bits(),
+            plain.improvement_ratio.to_bits()
+        );
+
+        // The detections score the very plans try_plan returns.
+        let mut baseline_problem = problem.clone();
+        baseline_problem.beta = 0.0;
+        let baseline = try_plan(&baseline_problem, &config).unwrap();
+        let robust = try_plan(&problem, &config).unwrap();
+        let expect = |coverage: &[f64]| expected_detections(&problem, coverage, &attack, detect);
+        assert_eq!(
+            cmp.baseline_detections.to_bits(),
+            expect(&baseline.coverage).to_bits()
+        );
+        assert_eq!(
+            cmp.robust_detections.to_bits(),
+            expect(&robust.coverage).to_bits()
+        );
     }
 }

@@ -155,20 +155,11 @@ pub struct PatrolPlan {
     pub status: SolveStatus,
 }
 
-/// Compute a patrol plan for a planning problem.
-///
-/// # Panics
-/// Panics when the utility PWL construction fails (degenerate cell
-/// domains) or the optimisation model is malformed; use [`try_plan`] to
-/// handle those as a [`PlanError`].
-pub fn plan(problem: &PlanningProblem, config: &PlannerConfig) -> PatrolPlan {
-    try_plan(problem, config).unwrap_or_else(|e| panic!("patrol planning failed: {e}"))
-}
-
-/// Checked planning entry point: degenerate piecewise-linear utilities
-/// (e.g. an empty sampling domain from a NaN-poisoned response surface)
-/// and pointless solves (infeasible/unbounded models) surface as a
-/// [`PlanError`] instead of a panic mid-optimisation.
+/// Compute a patrol plan for a planning problem. Degenerate
+/// piecewise-linear utilities (e.g. an empty sampling domain from a
+/// NaN-poisoned response surface) and pointless solves (infeasible or
+/// unbounded models) surface as a [`PlanError`] instead of a panic
+/// mid-optimisation.
 ///
 /// Anytime behaviour: when `config.milp.budget` runs out, the best solver
 /// incumbent is returned tagged [`SolveStatus::Degraded`]; if the budget
@@ -755,9 +746,14 @@ fn extract_coverage(values: &[f64], blocks: &[(Vec<Variable>, Vec<f64>)]) -> Vec
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::game::PlanningCell;
     use paws_data::matrix::Matrix;
     use paws_geo::parks::test_park_spec;
     use paws_geo::Park;
+
+    fn solve(problem: &PlanningProblem, config: &PlannerConfig) -> PatrolPlan {
+        try_plan(problem, config).expect("plan solves")
+    }
 
     /// A small problem with synthetic response curves.
     fn small_problem(beta: f64, patrol_len: f64, n_patrols: usize) -> PlanningProblem {
@@ -793,7 +789,7 @@ mod tests {
     #[test]
     fn allocation_plan_respects_budget_and_caps() {
         let problem = small_problem(0.0, 8.0, 3);
-        let plan = plan(&problem, &PlannerConfig::default());
+        let plan = solve(&problem, &PlannerConfig::default());
         assert_eq!(plan.status, SolveStatus::Optimal);
         let total: f64 = plan.coverage.iter().sum();
         assert!(
@@ -810,7 +806,7 @@ mod tests {
     #[test]
     fn allocation_concentrates_effort_on_high_value_cells() {
         let problem = small_problem(0.0, 8.0, 2);
-        let computed = plan(&problem, &PlannerConfig::default());
+        let computed = solve(&problem, &PlannerConfig::default());
         // Compare against a uniform allocation of the same budget.
         let uniform = vec![problem.budget_km() / problem.n_cells() as f64; problem.n_cells()];
         let u_plan = problem.coverage_utility(&computed.coverage, 0.0);
@@ -825,7 +821,7 @@ mod tests {
             segments: 20,
             ..PlannerConfig::default()
         };
-        let p = plan(&problem, &config);
+        let p = solve(&problem, &config);
         let reeval = problem.coverage_utility(&p.coverage, 0.5);
         // PWL approximation error only.
         assert!((p.objective - reeval).abs() < 0.15 * reeval.abs().max(1.0));
@@ -834,14 +830,14 @@ mod tests {
     #[test]
     fn more_segments_never_hurts_much() {
         let problem = small_problem(1.0, 8.0, 2);
-        let coarse = plan(
+        let coarse = solve(
             &problem,
             &PlannerConfig {
                 segments: 3,
                 ..PlannerConfig::default()
             },
         );
-        let fine = plan(
+        let fine = solve(
             &problem,
             &PlannerConfig {
                 segments: 25,
@@ -856,9 +852,9 @@ mod tests {
     #[test]
     fn robust_plan_differs_from_nominal_plan() {
         let mut nominal_problem = small_problem(0.0, 8.0, 2);
-        let nominal = plan(&nominal_problem, &PlannerConfig::default());
+        let nominal = solve(&nominal_problem, &PlannerConfig::default());
         nominal_problem.beta = 1.0;
-        let robust = plan(&nominal_problem, &PlannerConfig::default());
+        let robust = solve(&nominal_problem, &PlannerConfig::default());
         // The uncertainty penalty shifts effort; coverages should not be identical.
         let diff: f64 = nominal
             .coverage
@@ -873,8 +869,8 @@ mod tests {
     fn flow_formulation_agrees_with_allocation_on_tiny_instance() {
         // Restrict to a very small problem so the flow MILP stays tiny.
         let problem = small_problem(0.0, 4.0, 1);
-        let alloc = plan(&problem, &PlannerConfig::default());
-        let flow = plan(
+        let alloc = solve(&problem, &PlannerConfig::default());
+        let flow = solve(
             &problem,
             &PlannerConfig {
                 method: PlannerMethod::Flow,
@@ -926,7 +922,7 @@ mod tests {
     #[test]
     fn generous_budget_reproduces_the_unbudgeted_plan_exactly() {
         let problem = small_problem(0.5, 8.0, 2);
-        let free = plan(&problem, &PlannerConfig::default());
+        let free = solve(&problem, &PlannerConfig::default());
         let config = PlannerConfig {
             milp: MilpOptions {
                 budget: paws_solver::SolveBudget::with_time_limit(Duration::from_secs(3600)),
@@ -934,7 +930,7 @@ mod tests {
             },
             ..PlannerConfig::default()
         };
-        let budgeted = plan(&problem, &config);
+        let budgeted = solve(&problem, &config);
         assert_eq!(budgeted.status, free.status);
         assert_eq!(budgeted.coverage, free.coverage);
         assert_eq!(budgeted.objective, free.objective);
@@ -943,14 +939,14 @@ mod tests {
     #[test]
     fn column_generation_matches_full_model_objective() {
         let problem = small_problem(0.5, 8.0, 2);
-        let full = plan(
+        let full = solve(
             &problem,
             &PlannerConfig {
                 decomposition: Decomposition::FullModel,
                 ..PlannerConfig::default()
             },
         );
-        let cg = plan(
+        let cg = solve(
             &problem,
             &PlannerConfig {
                 decomposition: Decomposition::ColumnGeneration,
@@ -999,8 +995,8 @@ mod tests {
     fn auto_decomposition_keeps_small_instances_on_the_full_model() {
         // The golden small instances must be bit-identical under Auto.
         let problem = small_problem(0.5, 8.0, 2);
-        let auto = plan(&problem, &PlannerConfig::default());
-        let full = plan(
+        let auto = solve(&problem, &PlannerConfig::default());
+        let full = solve(
             &problem,
             &PlannerConfig {
                 decomposition: Decomposition::FullModel,
@@ -1015,7 +1011,7 @@ mod tests {
     #[test]
     fn zero_beta_plan_maximises_pure_detection() {
         let problem = small_problem(0.0, 6.0, 1);
-        let p = plan(&problem, &PlannerConfig::default());
+        let p = solve(&problem, &PlannerConfig::default());
         // With beta=0 the objective equals sum of g at the coverage.
         let g_sum: f64 = p
             .coverage
@@ -1024,5 +1020,92 @@ mod tests {
             .map(|(i, &c)| problem.cells[i].g.eval(c))
             .sum();
         assert!((p.objective - g_sum).abs() < 0.1 * g_sum.max(1.0));
+    }
+
+    /// `n_cells` seeded S-shaped (convex, then concave) detection curves
+    /// around an on-post patrol of 4 km: no utility is concave, so the
+    /// exact SOS2 encoding and the concave-envelope relaxation differ.
+    fn s_shaped_problem(n_cells: usize, seed: u64) -> PlanningProblem {
+        // splitmix64, mapped to [0, 1).
+        let mut state = seed;
+        let mut uniform = move || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (z ^ (z >> 31)) as f64 / 2f64.powi(64)
+        };
+        let grid: Vec<f64> = (0..=8).map(|k| 0.5 * k as f64).collect();
+        let cells = (0..n_cells)
+            .map(|i| {
+                let scale = 0.2 + 0.8 * uniform();
+                let mid = 1.0 + 2.0 * uniform();
+                let logistic = |e: f64| scale / (1.0 + (-3.0 * (e - mid)).exp());
+                let nu = 0.1 + 0.4 * uniform();
+                PlanningCell {
+                    cell: paws_geo::CellId(i as u32),
+                    park_index: i,
+                    travel_km: 0.0,
+                    g: PwlFunction::new(
+                        grid.clone(),
+                        grid.iter().map(|&e| logistic(e) - logistic(0.0)).collect(),
+                    ),
+                    nu: PwlFunction::new(grid.clone(), vec![nu; grid.len()]),
+                }
+            })
+            .collect();
+        PlanningProblem {
+            post: paws_geo::CellId(0),
+            cells,
+            neighbours: vec![Vec::new(); n_cells],
+            post_index: 0,
+            patrol_length_km: 4.0,
+            n_patrols: 1,
+            beta: 0.5,
+        }
+    }
+
+    #[test]
+    fn exact_sos2_plan_sits_between_the_envelope_bounds() {
+        let problem = s_shaped_problem(12, 0x5EED);
+        let envelope_config = PlannerConfig {
+            segments: 8,
+            ..PlannerConfig::default()
+        };
+        let utilities = cell_utilities(&problem, envelope_config.segments).unwrap();
+        assert!(utilities.iter().all(|u| !u.is_concave(1e-9)));
+
+        let envelope = solve(&problem, &envelope_config);
+        let exact = solve(
+            &problem,
+            &PlannerConfig {
+                exact_sos2: true,
+                ..envelope_config.clone()
+            },
+        );
+        assert_eq!(exact.status, SolveStatus::Optimal);
+        assert!(exact.nodes >= 1, "the SOS2 binaries must be branched on");
+        // The envelope LP relaxes the exact model: its optimum bounds the
+        // exact optimum from above …
+        assert!(
+            exact.objective <= envelope.objective + 1e-9,
+            "exact {} above envelope {}",
+            exact.objective,
+            envelope.objective
+        );
+        // … while its coverage, scored under the true (non-concave)
+        // utilities, is a feasible point the exact optimum must match.
+        let envelope_true: f64 = utilities
+            .iter()
+            .zip(&envelope.coverage)
+            .map(|(u, &c)| u.eval(c))
+            .sum();
+        assert!(
+            exact.objective >= envelope_true - 1e-9,
+            "exact {} below the envelope plan's true utility {envelope_true}",
+            exact.objective
+        );
+        let total: f64 = exact.coverage.iter().sum();
+        assert!(total <= problem.budget_km() + 1e-6);
     }
 }

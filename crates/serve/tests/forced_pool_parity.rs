@@ -58,14 +58,16 @@ fn parallel_fit_is_bit_identical_to_the_one_thread_fit() {
         });
         let prev = vec![0.0; scenario.park.n_cells()];
         let (r_ref, u_ref) = reference
-            .try_risk_map(&scenario.park, &dataset, &prev, 1.0)
+            .prepare_park(&scenario.park, &dataset, &prev)
+            .and_then(|prepared| reference.try_risk_map_prepared(&prepared, 1.0))
             .expect("reference risk map");
         for forced in FORCED {
             let model = rayon::with_num_threads(forced, || {
                 paws_core::train(&dataset, &split, &cfg).into_serving()
             });
             let (r, u) = model
-                .try_risk_map(&scenario.park, &dataset, &prev, 1.0)
+                .prepare_park(&scenario.park, &dataset, &prev)
+                .and_then(|prepared| model.try_risk_map_prepared(&prepared, 1.0))
                 .expect("forced-fit risk map");
             assert_eq!(r, r_ref, "risk drifted: iware={use_iware} x{forced}");
             assert_eq!(u, u_ref, "uncertainty drifted: iware={use_iware} x{forced}");
@@ -117,12 +119,14 @@ fn batched_serve_is_bit_identical_across_forced_counts() {
     let prev = vec![0.0; scenario.park.n_cells()];
     let (r_ref, u_ref) = rayon::with_num_threads(1, || {
         model
-            .try_risk_map(&scenario.park, &dataset, &prev, 1.0)
+            .prepare_park(&scenario.park, &dataset, &prev)
+            .and_then(|prepared| model.try_risk_map_prepared(&prepared, 1.0))
             .expect("direct risk map")
     });
     let (p_ref, v_ref) = rayon::with_num_threads(1, || {
         model
-            .try_park_response(&scenario.park, &dataset, &prev, &GRID)
+            .prepare_park(&scenario.park, &dataset, &prev)
+            .and_then(|prepared| model.try_park_response_prepared(&prepared, &GRID))
             .expect("direct response")
     });
 

@@ -58,7 +58,8 @@ fn mid_traffic_ingest_batch_hot_swaps_without_tearing() {
     let prev0 = dataset0.coverage.last().expect("batch 1 has steps").clone();
     let (r1, u1) = v1
         .model
-        .try_risk_map(&park, &dataset0, &prev0, 1.0)
+        .prepare_park(&park, &dataset0, &prev0)
+        .and_then(|prepared| v1.model.try_risk_map_prepared(&prepared, 1.0))
         .expect("v1 serves directly");
 
     let report = mirror
@@ -82,7 +83,8 @@ fn mid_traffic_ingest_batch_hot_swaps_without_tearing() {
     let v2 = mirror.resident("oracle").expect("oracle resident");
     let (r2, u2) = v2
         .model
-        .try_risk_map(&park, &dataset_full, &prev1, 1.0)
+        .prepare_park(&park, &dataset_full, &prev1)
+        .and_then(|prepared| v2.model.try_risk_map_prepared(&prepared, 1.0))
         .expect("v2 serves directly");
     assert_ne!(r1, r2, "ingest must change the served surface");
 

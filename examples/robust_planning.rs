@@ -10,13 +10,14 @@
 //! under the ground-truth poacher model.
 
 use paws_core::{
-    build_planning_problem, format_table, train, ModelConfig, Scenario, WeakLearnerKind,
+    format_table, train, try_planning_problem_from_response, ModelConfig, PawsError, Scenario,
+    WeakLearnerKind,
 };
 use paws_data::{build_dataset, split_by_test_year, Discretization};
 use paws_plan::{compare_with_ground_truth, PlannerConfig};
 use paws_sim::Season;
 
-fn main() {
+fn main() -> Result<(), PawsError> {
     let scenario = Scenario::test_scenario(11);
     let history = scenario.simulate_years(2014, 3);
     let dataset = build_dataset(&scenario.park, &history, Discretization::quarterly());
@@ -26,15 +27,19 @@ fn main() {
     config.n_learners = 5;
     config.n_estimators = 4;
     config.gp_max_points = 150;
-    let model = train(&dataset, &split, &config);
+    let model = train(&dataset, &split, &config).into_serving();
     println!(
         "{} test AUC: {:.3}\n",
         config.name(),
         model.auc_on(&dataset, &split.test)
     );
 
+    // The park's response surfaces are computed once and shared by every
+    // post and β.
     let prev = dataset.coverage.last().unwrap().clone();
     let effort_grid = [0.0, 0.5, 1.0, 2.0, 4.0, 8.0];
+    let prepared = model.prepare_park(&scenario.park, &dataset, &prev)?;
+    let (probs, vars) = model.try_park_response_prepared(&prepared, &effort_grid)?;
     let attack = scenario.attack_probabilities(&vec![0.0; scenario.park.n_cells()], Season::Dry);
     let detection = scenario.sim.detection;
 
@@ -44,17 +49,16 @@ fn main() {
         let mut ratios = Vec::new();
         let mut detection_gains = Vec::new();
         for &post in &scenario.park.patrol_posts {
-            let problem = build_planning_problem(
+            let problem = try_planning_problem_from_response(
                 &scenario.park,
-                &model,
-                &dataset,
-                &prev,
                 post,
                 &effort_grid,
+                &probs,
+                &vars,
                 10.0,
                 3,
                 beta,
-            );
+            )?;
             // Ground-truth attack probabilities of the problem's candidate cells.
             let attack_local: Vec<f64> =
                 problem.cells.iter().map(|c| attack[c.park_index]).collect();
@@ -63,7 +67,7 @@ fn main() {
                 &PlannerConfig::default(),
                 &attack_local,
                 |c| detection.probability(c),
-            );
+            )?;
             ratios.push(cmp.improvement_ratio);
             if cmp.baseline_detections > 0.0 {
                 detection_gains.push(cmp.robust_detections / cmp.baseline_detections);
@@ -94,4 +98,5 @@ fn main() {
     println!(
         "Ratios above 1.0 mean the uncertainty-aware plan beats the nominal plan (cf. Fig. 8)."
     );
+    Ok(())
 }

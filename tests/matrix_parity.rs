@@ -555,7 +555,7 @@ fn f32_iware_response_surfaces_stay_within_the_documented_bound() {
 fn large_park_setup() -> (
     paws_core::Scenario,
     paws_data::Dataset,
-    paws_core::TrainedModel,
+    paws_core::ServingModel,
 ) {
     use paws_core::{train, ModelConfig, Scenario, WeakLearnerKind};
     use paws_data::{build_dataset, split_by_test_year, Discretization};
@@ -567,7 +567,7 @@ fn large_park_setup() -> (
     cfg.n_learners = 5;
     cfg.n_estimators = 4;
     cfg.weight_mode = WeightMode::Uniform;
-    let model = train(&dataset, &split, &cfg);
+    let model = train(&dataset, &split, &cfg).into_serving();
     (scenario, dataset, model)
 }
 
@@ -579,13 +579,16 @@ fn large_park_f32_plane_stays_within_policy() {
     assert_eq!(scenario.park.n_cells(), 50_000);
     let prev = dataset.coverage.last().unwrap().clone();
     let grid = [0.0, 1.0, 4.0];
-    let (p64, _) = model.park_response(&scenario.park, &dataset, &prev, &grid);
+    // The prepared park caches both planes, so one preparation serves the
+    // model on either side of the precision switch.
+    let prepared = model.prepare_park(&scenario.park, &dataset, &prev).unwrap();
+    let (p64, _) = model.park_response_prepared(&prepared, &grid);
 
     // The f32 plane stays within the documented park-scale policy of the
     // f64 surface (≤ 1e-5 on ≥ 99.5 % of cells, flips bounded by leaf gap
     // over fan-in).
     model.set_precision(Precision::F32).unwrap();
-    let (p32, _) = model.park_response(&scenario.park, &dataset, &prev, &grid);
+    let (p32, _) = model.park_response_prepared(&prepared, &grid);
     let diffs: Vec<f64> = p64
         .as_slice()
         .iter()
