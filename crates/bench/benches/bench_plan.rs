@@ -1,12 +1,10 @@
 //! Criterion benchmarks for the planning stack: the patrol planner on the
-//! test park (the Fig. 9a runtime measurement at component scale:
-//! allocation MILP across PWL segment counts, and the flow formulation on
-//! a tiny instance), dense-tableau vs sparse revised-simplex LP engines on
-//! allocation-shaped LPs across cell counts, branch-and-bound node
-//! throughput with and without warm-started sparse relaxations, and the
-//! column-generation planner on an LLC-scale park. The headline curves
-//! (up to study-park and 100k-cell scale, where a criterion loop would
-//! take hours on the dense engine) are recorded by `fig8 --llc` /
+//! test park (the Fig. 9a runtime measurement at component scale: the
+//! default allocation planner across PWL segment counts, and the flow
+//! formulation on a tiny instance), dense-tableau vs sparse revised-simplex
+//! LP engines on allocation-shaped LPs across cell counts, warm-started
+//! branch-and-bound node throughput, and the default planner on a
+//! 10k-cell LLC park. The park-size curve up to 100k cells is recorded by
 //! `fig9 --llc` into `results/`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -14,10 +12,8 @@ use paws_bench::full_reach_problem;
 use paws_data::Matrix;
 use paws_geo::parks::{llc_park_spec, test_park_spec};
 use paws_geo::Park;
-use paws_plan::{try_plan, Decomposition, PlannerConfig, PlannerMethod, PlanningProblem};
-use paws_solver::{
-    solve_lp, solve_lp_dense, solve_milp, ConstraintOp, LpEngine, MilpOptions, Model, Sense,
-};
+use paws_plan::{try_plan, PlannerConfig, PlannerMethod, PlanningProblem};
+use paws_solver::{solve_lp, solve_lp_dense, solve_milp, ConstraintOp, MilpOptions, Model, Sense};
 use std::hint::black_box;
 
 /// Synthetic saturating response curves over the test park, planned at
@@ -98,11 +94,12 @@ fn allocation_lp(n_cells: usize) -> Model {
             .enumerate()
             .map(|(j, &x)| {
                 let y = s * (1.0 - (-rate * x).exp());
-                m.add_continuous(&format!("l_{i}_{j}"), 0.0, f64::INFINITY, y)
+                m.try_add_continuous(&format!("l_{i}_{j}"), 0.0, f64::INFINITY, y)
+                    .unwrap()
             })
             .collect();
         let conv: Vec<_> = lambdas.iter().map(|&v| (v, 1.0)).collect();
-        m.add_constraint(&conv, ConstraintOp::Eq, 1.0);
+        m.try_add_constraint(&conv, ConstraintOp::Eq, 1.0).unwrap();
         budget_terms.extend(
             lambdas
                 .iter()
@@ -111,7 +108,8 @@ fn allocation_lp(n_cells: usize) -> Model {
                 .map(|(&v, &x)| (v, x)),
         );
     }
-    m.add_constraint(&budget_terms, ConstraintOp::Le, 0.05 * n_cells as f64);
+    m.try_add_constraint(&budget_terms, ConstraintOp::Le, 0.05 * n_cells as f64)
+        .unwrap();
     m
 }
 
@@ -125,7 +123,7 @@ fn bench_lp_engines(c: &mut Criterion) {
         });
         // The dense tableau is O(rows × columns) per pivot; past ~256
         // cells a single solve takes seconds, so the dense curve stops
-        // early here and continues one-shot in `fig8 --llc`.
+        // early.
         if n_cells <= 256 {
             group.bench_with_input(BenchmarkId::new("dense", n_cells), &model, |b, model| {
                 b.iter(|| black_box(solve_lp_dense(model, None)))
@@ -136,15 +134,15 @@ fn bench_lp_engines(c: &mut Criterion) {
 }
 
 /// A deterministic correlated multi-knapsack: enough fractional LP optima
-/// that branch-and-bound explores a real tree, so engine timing measures
-/// per-node relaxation cost (the sparse engine warm-starts each node from
-/// its parent's basis; the dense engine re-solves from scratch).
+/// that branch-and-bound explores a real tree, so the timing measures
+/// per-node relaxation cost (each node warm-starts from its parent's
+/// basis).
 fn knapsack_milp(n_items: usize) -> Model {
     let mut m = Model::new(Sense::Maximize);
     let items: Vec<_> = (0..n_items)
         .map(|i| {
             let value = 1.0 + ((i * 29) % 17) as f64 / 3.0;
-            m.add_binary(&format!("x{i}"), value)
+            m.try_add_binary(&format!("x{i}"), value).unwrap()
         })
         .collect();
     for (k, period) in [(0usize, 13), (1, 11), (2, 7)] {
@@ -154,38 +152,29 @@ fn knapsack_milp(n_items: usize) -> Model {
             .map(|(i, &v)| (v, 1.0 + ((i * 31 + k * 5) % period) as f64 / 2.0))
             .collect();
         let cap = terms.iter().map(|(_, w)| w).sum::<f64>() * 0.35;
-        m.add_constraint(&terms, ConstraintOp::Le, cap);
+        m.try_add_constraint(&terms, ConstraintOp::Le, cap).unwrap();
     }
     m
 }
 
 fn bench_milp_nodes(c: &mut Criterion) {
     let model = knapsack_milp(24);
+    let options = MilpOptions::default();
     let mut group = c.benchmark_group("milp_node_throughput");
     group.sample_size(10);
-    for (label, engine) in [
-        ("sparse_warm", LpEngine::Sparse),
-        ("dense", LpEngine::Dense),
-    ] {
-        group.bench_with_input(BenchmarkId::from_parameter(label), &engine, |b, &engine| {
-            let options = MilpOptions {
-                engine,
-                ..MilpOptions::default()
-            };
-            b.iter(|| black_box(solve_milp(&model, &options)))
-        });
-    }
+    group.bench_function("sparse_warm", |b| {
+        b.iter(|| black_box(solve_milp(&model, &options)))
+    });
     group.finish();
 }
 
-fn bench_colgen_llc(c: &mut Criterion) {
+/// The default planner (the greedy segment fill) on the 10k-cell LLC park
+/// with every cell a candidate.
+fn bench_default_planner_llc(c: &mut Criterion) {
     let park = Park::generate(&llc_park_spec(10_000), 11);
     let problem = full_reach_problem(&park, 500.0, 1.0);
-    let config = PlannerConfig {
-        decomposition: Decomposition::ColumnGeneration,
-        ..PlannerConfig::default()
-    };
-    let mut group = c.benchmark_group("colgen_planner");
+    let config = PlannerConfig::default();
+    let mut group = c.benchmark_group("default_planner_llc");
     group.sample_size(10);
     group.bench_function("llc_10k_cells", |b| {
         b.iter(|| black_box(try_plan(&problem, &config)))
@@ -199,6 +188,6 @@ criterion_group!(
     bench_flow_formulation,
     bench_lp_engines,
     bench_milp_nodes,
-    bench_colgen_llc
+    bench_default_planner_llc
 );
 criterion_main!(benches);

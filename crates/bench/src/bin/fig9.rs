@@ -9,8 +9,9 @@
 //! ```
 //!
 //! `--llc` swaps the segment sweep for the runtime-vs-park-size curve at
-//! LLC scale (10k–100k cells, every cell a candidate): the workload the
-//! column-generation planner over the sparse revised simplex exists for.
+//! LLC scale (10k–100k cells, every cell a candidate), where the default
+//! planner's greedy segment fill solves the enveloped allocation problem
+//! without any LP.
 
 use paws_bench::{
     full_reach_problem, mean, park_model_config, quarterly_dataset, scenario, write_json, Scale,
@@ -41,13 +42,12 @@ struct Fig9LlcPoint {
     runtime_seconds: f64,
     status: String,
     objective: f64,
-    colgen_rounds: usize,
+    lp_solves: usize,
 }
 
-/// `--llc`: planner runtime vs park size at LLC scale. Auto decomposition
-/// routes every one of these through column generation over the sparse
-/// revised simplex — the monolithic dense tableau would need tens of
-/// gigabytes before the first pivot.
+/// `--llc`: planner runtime vs park size at LLC scale. Every one of these
+/// is a pure-LP allocation instance, so the greedy fill plans it with
+/// `lp_solves = 0`.
 fn llc_scaling(scale: Scale) -> Result<(), PlanError> {
     let sizes: &[usize] = if scale.is_full() {
         &[10_000, 25_000, 50_000, 100_000]
@@ -72,7 +72,7 @@ fn llc_scaling(scale: Scale) -> Result<(), PlanError> {
             runtime_seconds,
             status: format!("{:?}", result.status),
             objective: result.objective,
-            colgen_rounds: result.lp_solves,
+            lp_solves: result.lp_solves,
         };
         rows.push(vec![
             cells.to_string(),
@@ -80,7 +80,7 @@ fn llc_scaling(scale: Scale) -> Result<(), PlanError> {
             format!("{:.2}", point.runtime_seconds),
             point.status.clone(),
             format!("{:.2}", point.objective),
-            point.colgen_rounds.to_string(),
+            point.lp_solves.to_string(),
         ]);
         points.push(point);
     }
@@ -93,7 +93,7 @@ fn llc_scaling(scale: Scale) -> Result<(), PlanError> {
                 "runtime (s)",
                 "status",
                 "objective",
-                "CG rounds"
+                "LP solves"
             ],
             &rows
         )

@@ -9,9 +9,11 @@
 //! 1. Sample g_v(c) / ν_v(c) from a fitted `paws_iware::IWareModel` with
 //!    `effort_response`, squash the variances with [`robust::squash_matrix`].
 //! 2. Build a [`game::PlanningProblem`] per patrol post.
-//! 3. Optimise with [`planner::try_plan`] (allocation MILP by default,
-//!    column generation at park scale, the time-unrolled flow MILP for
-//!    small instances); failures come back as a typed [`PlanError`].
+//! 3. Optimise with [`planner::try_plan`] (the exact greedy segment fill
+//!    of the enveloped allocation problem by default, an SOS2 MILP when
+//!    non-concave utilities must be encoded exactly, the time-unrolled
+//!    flow MILP for small instances); failures come back as a typed
+//!    [`PlanError`].
 //! 4. Extract ranger routes with [`routes::extract_routes`] and evaluate
 //!    Uβ(Cβ)/Uβ(Cβ=0) with [`evaluate::try_compare_robust_vs_baseline`]
 //!    (or [`evaluate::compare_with_ground_truth`] to also score expected
@@ -29,7 +31,7 @@ pub use evaluate::{
     RobustComparison,
 };
 pub use game::{park_travel_distances, steps_for, PlanningCell, PlanningProblem};
-pub use planner::{try_plan, Decomposition, PatrolPlan, PlanError, PlannerConfig, PlannerMethod};
+pub use planner::{try_plan, PatrolPlan, PlanError, PlannerConfig, PlannerMethod};
 pub use pwl::{PwlError, PwlFunction};
 pub use robust::{squash_matrix, VarianceSquash};
 pub use routes::{extract_routes, route_coverage, Route};

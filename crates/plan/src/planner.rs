@@ -1,40 +1,40 @@
 //! The patrol-planning optimiser (problem P of Sec. VI-B/C).
 //!
-//! Two formulations are provided:
+//! Every plan maximises Σ_v U_v(c_v) under the patrol budget, with each
+//! utility resampled as a piecewise-linear (PWL) function. Three paths
+//! solve it:
 //!
-//! * [`PlannerMethod::Allocation`] — the effort-allocation MILP: one PWL
-//!   (λ / SOS2) block per candidate cell, a total-budget constraint
-//!   Σ_v c_v ≤ T·K, and per-cell effort caps derived from the round-trip
-//!   travel time to the patrol post. Binary variables are introduced only
-//!   for cells whose utility PWL is non-concave, so most instances solve as
-//!   pure LPs. This is the formulation the benchmark harness sweeps
-//!   (Figs. 8 and 9).
-//! * [`PlannerMethod::Flow`] — the full time-unrolled flow formulation of
-//!   Eq. (2): aggregate patrol flow over nodes (cell, t) with conservation,
-//!   source/sink at the patrol post, coverage defined as flow through a cell
-//!   and the same PWL objective. Exact but much larger; intended for small
-//!   regions and for validating the allocation formulation.
+//! * **Greedy segment fill** — [`PlannerMethod::Allocation`] whenever no
+//!   SOS2 binary is needed: `exact_sos2` is off (the default, so each
+//!   non-concave utility is replaced by its upper concave envelope) or
+//!   every utility is concave anyway. The problem is then a separable
+//!   concave maximisation with one budget row Σ_v c_v ≤ T·K and per-cell
+//!   caps (each PWL's domain ends at the cell's reachable effort), i.e. a
+//!   fractional knapsack over PWL segments: filling segments in descending
+//!   slope order until the km budget runs out is optimal, exactly as the
+//!   λ-LP would find, in O(S log S) for S segments and with no solver.
+//! * **SOS2 MILP** — [`PlannerMethod::Allocation`] with `exact_sos2` on and
+//!   at least one non-concave utility: one λ / SOS2 block per candidate
+//!   cell (binaries only for the non-concave cells), the budget row, and
+//!   branch-and-bound.
+//! * **Flow** — [`PlannerMethod::Flow`], the full time-unrolled flow
+//!   formulation of Eq. (2): aggregate patrol flow over nodes (cell, t)
+//!   with conservation, source/sink at the patrol post, coverage defined as
+//!   flow through a cell and the same PWL blocks. Exact but much larger;
+//!   intended for small regions and for validating the allocation
+//!   formulation.
 
 use crate::game::{steps_for, PlanningProblem};
 use crate::pwl::{PwlError, PwlFunction};
 use paws_solver::{
-    solve_milp, BasisSnapshot, ConstraintOp, MilpOptions, Model, Sense, SolveBudget, SolveStatus,
-    SolverError, SparseLp, Variable,
+    solve_milp, ConstraintOp, MilpOptions, Model, Sense, SolveStatus, SolverError, Variable,
 };
 use serde::{Deserialize, Serialize};
 use std::time::{Duration, Instant};
 
-/// In [`Decomposition::Auto`] mode, column generation kicks in above this
-/// many λ variables — below it the full model solves in well under the
-/// restricted-master overhead.
-const CG_AUTO_THRESHOLD: usize = 4096;
-/// Hard cap on restricted-master rounds (each round adds at most one
-/// column per cell, so convergence needs at most `segments + 1` rounds;
-/// this cap is a numerical-safety backstop, not a tuning knob).
-const CG_MAX_ROUNDS: usize = 200;
-/// A breakpoint column enters the restricted master only when its reduced
-/// cost improves the objective by more than this.
-const CG_PRICE_TOL: f64 = 1e-7;
+/// Slope tolerance under which a sampled utility counts as concave (and so
+/// needs neither an envelope nor SOS2 binaries).
+const CONCAVE_TOL: f64 = 1e-9;
 
 /// Why patrol planning failed: either the utility curves could not be
 /// piecewise-linearised, or the optimiser terminated without a usable
@@ -46,7 +46,8 @@ pub enum PlanError {
     /// non-finite samples, zero segments).
     Pwl(PwlError),
     /// The optimiser produced no usable point (infeasible or unbounded
-    /// model — both indicate a malformed problem rather than time pressure).
+    /// model — both indicate a malformed problem rather than time pressure)
+    /// or rejected the model input (a non-finite utility).
     Solver(SolverError),
 }
 
@@ -80,30 +81,13 @@ impl From<SolverError> for PlanError {
     }
 }
 
-/// Which MILP formulation to build.
+/// Which formulation to solve.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum PlannerMethod {
     /// Separable effort-allocation formulation (default).
     Allocation,
     /// Time-unrolled network-flow formulation (small instances only).
     Flow,
-}
-
-/// How the allocation formulation is decomposed for the solver.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum Decomposition {
-    /// Pick automatically: column generation for pure-LP instances with
-    /// more than a few thousand λ variables, the full model otherwise.
-    /// Small instances therefore behave exactly as before. The default.
-    Auto,
-    /// Always build the monolithic model with every λ column.
-    FullModel,
-    /// Always use column generation over per-cell breakpoint blocks: a
-    /// restricted master holds a few λ columns per cell and new breakpoints
-    /// are priced in against the budget and convexity duals until none
-    /// improves. Implies the concave-envelope relaxation (`exact_sos2` is
-    /// ignored on this path — SOS2 binaries never enter the master).
-    ColumnGeneration,
 }
 
 /// Planner configuration.
@@ -113,17 +97,14 @@ pub struct PlannerConfig {
     pub segments: usize,
     /// Formulation to use.
     pub method: PlannerMethod,
-    /// Branch-and-bound options.
+    /// Branch-and-bound options (used by the SOS2 MILP and flow paths; the
+    /// greedy fill needs no solver and ignores them).
     pub milp: MilpOptions,
     /// Encode non-concave utilities exactly with SOS2 binaries. When false
     /// (the default) the planner optimises the upper concave envelope of
-    /// each non-concave utility instead, which keeps park-scale instances
-    /// pure LPs; the reported coverage is re-evaluated against the true
-    /// utility. Set to true for exact solutions on small instances.
+    /// each non-concave utility instead, which the greedy segment fill
+    /// solves exactly. Set to true for exact solutions on small instances.
     pub exact_sos2: bool,
-    /// Decomposition strategy for [`PlannerMethod::Allocation`] (ignored by
-    /// the flow formulation).
-    pub decomposition: Decomposition,
 }
 
 impl Default for PlannerConfig {
@@ -133,7 +114,6 @@ impl Default for PlannerConfig {
             method: PlannerMethod::Allocation,
             milp: MilpOptions::default(),
             exact_sos2: false,
-            decomposition: Decomposition::Auto,
         }
     }
 }
@@ -143,30 +123,32 @@ impl Default for PlannerConfig {
 pub struct PatrolPlan {
     /// Patrol effort (km) allocated to each candidate cell of the problem.
     pub coverage: Vec<f64>,
-    /// Objective value Σ_v U_v(c_v) of the optimised (PWL) model.
+    /// Objective value Σ_v U_v(c_v) of the optimised (PWL) model: each
+    /// utility's concave envelope unless `exact_sos2` kept it as sampled.
     pub objective: f64,
     /// Wall-clock solve time.
     pub solve_time: Duration,
-    /// Branch-and-bound nodes explored.
+    /// Branch-and-bound nodes explored (0 on the greedy path).
     pub nodes: usize,
-    /// LP relaxations solved.
+    /// LP relaxations solved (0 on the greedy path).
     pub lp_solves: usize,
-    /// Termination status of the underlying solver.
+    /// Termination status of the solve.
     pub status: SolveStatus,
 }
 
 /// Compute a patrol plan for a planning problem. Degenerate
 /// piecewise-linear utilities (e.g. an empty sampling domain from a
-/// NaN-poisoned response surface) and pointless solves (infeasible or
-/// unbounded models) surface as a [`PlanError`] instead of a panic
-/// mid-optimisation.
+/// NaN-poisoned response surface), non-finite utility values and pointless
+/// solves (infeasible or unbounded models) surface as a [`PlanError`]
+/// instead of a panic mid-optimisation.
 ///
-/// Anytime behaviour: when `config.milp.budget` runs out, the best solver
-/// incumbent is returned tagged [`SolveStatus::Degraded`]; if the budget
-/// died before *any* incumbent was found, a greedy marginal-utility
-/// allocation (feasible by construction) is returned instead, also tagged
-/// `Degraded`. An unlimited budget reproduces the pre-budget behaviour
-/// exactly.
+/// Anytime behaviour: the greedy path ignores `config.milp.budget` (it is
+/// exact and needs no solver). On the solver paths, when the budget runs
+/// out the best solver incumbent is returned tagged
+/// [`SolveStatus::Degraded`]; if the budget died before *any* incumbent
+/// was found, the greedy fill (feasible by construction) is returned
+/// instead, also tagged `Degraded`. An unlimited budget reproduces the
+/// unbudgeted plan exactly.
 pub fn try_plan(
     problem: &PlanningProblem,
     config: &PlannerConfig,
@@ -175,10 +157,23 @@ pub fn try_plan(
         return Err(PlanError::Pwl(PwlError::Empty));
     }
     let start = Instant::now();
-    let utilities = cell_utilities(problem, config.segments)?;
+    // The PWL the planner optimises: each sampled utility, or its upper
+    // concave envelope unless SOS2 binaries will encode it exactly.
+    let utilities: Vec<PwlFunction> = cell_utilities(problem, config.segments)?
+        .into_iter()
+        .map(|u| {
+            if config.exact_sos2 || u.is_concave(CONCAVE_TOL) {
+                u
+            } else {
+                u.concave_envelope()
+            }
+        })
+        .collect();
+    let pure_lp = !config.exact_sos2 || utilities.iter().all(|u| u.is_concave(CONCAVE_TOL));
     let mut result = match config.method {
-        PlannerMethod::Allocation => solve_allocation(problem, &utilities, config),
-        PlannerMethod::Flow => solve_flow(problem, &utilities, config),
+        PlannerMethod::Allocation if pure_lp => greedy_plan(problem, &utilities)?,
+        PlannerMethod::Allocation => solve_allocation(problem, &utilities, config)?,
+        PlannerMethod::Flow => solve_flow(problem, &utilities, config)?,
     };
     match result.status {
         SolveStatus::Infeasible => return Err(SolverError::Infeasible.into()),
@@ -187,14 +182,9 @@ pub fn try_plan(
             // The budget died before branch-and-bound found any incumbent:
             // fall back to the greedy fill, which needs no solver at all.
             let coverage = greedy_coverage(problem, &utilities);
-            let objective = utilities
-                .iter()
-                .zip(&coverage)
-                .map(|(u, &c)| u.eval(c))
-                .sum();
             result = PatrolPlan {
+                objective: pwl_objective(&utilities, &coverage),
                 coverage,
-                objective,
                 status: SolveStatus::Degraded,
                 ..result
             };
@@ -207,12 +197,48 @@ pub fn try_plan(
     })
 }
 
-/// Greedy feasible incumbent for budget-starved solves: every segment of
-/// every cell's concave-envelope utility is a `(slope, width)` candidate,
-/// and filling them in descending-slope order until the km budget runs out
-/// is optimal for the enveloped separable LP. Per-cell caps hold because a
-/// cell's segments sum to its PWL domain width, and the total never
-/// exceeds the budget — so the result is always feasible for problem (P).
+/// Σ_v U_v(c_v) over the PWL utilities the planner optimised.
+fn pwl_objective(utilities: &[PwlFunction], coverage: &[f64]) -> f64 {
+    utilities
+        .iter()
+        .zip(coverage)
+        .map(|(u, &c)| u.eval(c))
+        .sum()
+}
+
+/// The exact plan of the enveloped allocation problem: the greedy segment
+/// fill, reported `Optimal` with no solver statistics. Non-finite utility
+/// values are rejected with the error the λ-model builder would raise.
+fn greedy_plan(
+    problem: &PlanningProblem,
+    utilities: &[PwlFunction],
+) -> Result<PatrolPlan, SolverError> {
+    if utilities
+        .iter()
+        .any(|u| u.ys().iter().any(|y| !y.is_finite()))
+    {
+        return Err(SolverError::Input("objective coefficient must be finite"));
+    }
+    let coverage = greedy_coverage(problem, utilities);
+    Ok(PatrolPlan {
+        objective: pwl_objective(utilities, &coverage),
+        coverage,
+        solve_time: Duration::default(),
+        nodes: 0,
+        lp_solves: 0,
+        status: SolveStatus::Optimal,
+    })
+}
+
+/// The greedy segment fill: every segment of every cell's concave-envelope
+/// utility is a `(slope, width)` candidate, and filling them in descending
+/// slope order until the km budget runs out is optimal for the enveloped
+/// separable problem (a fractional knapsack: one budget row, and a concave
+/// cell's slopes descend, so its segments fill in order). Per-cell caps
+/// hold because a cell's segments sum to its PWL domain width, and the
+/// total never exceeds the budget — so the result is always feasible for
+/// problem (P), which also makes it the budget-starved fallback of the
+/// solver paths.
 fn greedy_coverage(problem: &PlanningProblem, utilities: &[PwlFunction]) -> Vec<f64> {
     struct Segment {
         slope: f64,
@@ -222,7 +248,7 @@ fn greedy_coverage(problem: &PlanningProblem, utilities: &[PwlFunction]) -> Vec<
     let mut segments: Vec<Segment> = Vec::new();
     for (cell, u) in utilities.iter().enumerate() {
         let envelope;
-        let u = if u.is_concave(1e-9) {
+        let u = if u.is_concave(CONCAVE_TOL) {
             u
         } else {
             envelope = u.concave_envelope();
@@ -268,42 +294,33 @@ fn cell_utilities(
         .collect()
 }
 
-/// Add one cell's λ / SOS2 block to the model. Returns the λ variables and
-/// their breakpoint x values.
+/// Add one cell's λ block to the model, with SOS2 binaries when the
+/// utility is non-concave (for a concave utility the LP relaxation already
+/// attains the true maximum). Returns the λ variables and their breakpoint
+/// x values.
 fn add_pwl_block(
     model: &mut Model,
     utility: &PwlFunction,
     cell_label: usize,
-    exact_sos2: bool,
-) -> (Vec<Variable>, Vec<f64>) {
-    // Non-concave utilities either get an exact SOS2 encoding (binaries) or
-    // are replaced by their upper concave envelope, which the LP relaxation
-    // solves exactly.
-    let envelope;
-    let utility = if !exact_sos2 && !utility.is_concave(1e-9) {
-        envelope = utility.concave_envelope();
-        &envelope
-    } else {
-        utility
-    };
+) -> Result<(Vec<Variable>, Vec<f64>), SolverError> {
     let xs = utility.xs().to_vec();
     let ys = utility.ys();
-    let lambdas: Vec<Variable> = (0..xs.len())
-        .map(|j| model.add_continuous(&format!("lam_{cell_label}_{j}"), 0.0, f64::INFINITY, ys[j]))
-        .collect();
+    let lambdas = (0..xs.len())
+        .map(|j| {
+            model.try_add_continuous(&format!("lam_{cell_label}_{j}"), 0.0, f64::INFINITY, ys[j])
+        })
+        .collect::<Result<Vec<Variable>, _>>()?;
     // Convexity: Σ λ = 1.
     let terms: Vec<(Variable, f64)> = lambdas.iter().map(|&v| (v, 1.0)).collect();
-    model.add_constraint(&terms, ConstraintOp::Eq, 1.0);
+    model.try_add_constraint(&terms, ConstraintOp::Eq, 1.0)?;
 
-    // SOS2 binaries only when the utility is non-concave; for concave
-    // utilities the LP relaxation already attains the true maximum.
-    if !utility.is_concave(1e-9) {
+    if !utility.is_concave(CONCAVE_TOL) {
         let n_seg = xs.len() - 1;
-        let zs: Vec<Variable> = (0..n_seg)
-            .map(|s| model.add_binary(&format!("z_{cell_label}_{s}"), 0.0))
-            .collect();
+        let zs = (0..n_seg)
+            .map(|s| model.try_add_binary(&format!("z_{cell_label}_{s}"), 0.0))
+            .collect::<Result<Vec<Variable>, _>>()?;
         let zterms: Vec<(Variable, f64)> = zs.iter().map(|&z| (z, 1.0)).collect();
-        model.add_constraint(&zterms, ConstraintOp::Eq, 1.0);
+        model.try_add_constraint(&zterms, ConstraintOp::Eq, 1.0)?;
         for j in 0..xs.len() {
             // λ_j can be positive only if an adjacent segment is selected.
             let mut terms = vec![(lambdas[j], 1.0)];
@@ -313,303 +330,23 @@ fn add_pwl_block(
             if j < n_seg {
                 terms.push((zs[j], -1.0));
             }
-            model.add_constraint(&terms, ConstraintOp::Le, 0.0);
+            model.try_add_constraint(&terms, ConstraintOp::Le, 0.0)?;
         }
     }
-    (lambdas, xs)
+    Ok((lambdas, xs))
 }
 
-/// Should the allocation formulation go through column generation?
-fn use_column_generation(utilities: &[PwlFunction], config: &PlannerConfig) -> bool {
-    match config.decomposition {
-        Decomposition::FullModel => false,
-        Decomposition::ColumnGeneration => true,
-        Decomposition::Auto => {
-            let pure_lp = !config.exact_sos2 || utilities.iter().all(|u| u.is_concave(1e-9));
-            let n_lambda: usize = utilities.iter().map(|u| u.xs().len()).sum();
-            pure_lp && n_lambda > CG_AUTO_THRESHOLD
-        }
-    }
-}
-
-/// The remaining share of a [`SolveBudget`] measured from `start`, or
-/// `None` when the wall-clock budget is already spent.
-fn remaining_budget(budget: &SolveBudget, start: Instant) -> Option<SolveBudget> {
-    match budget.time_limit {
-        None => Some(*budget),
-        Some(limit) => {
-            let left = limit.saturating_sub(start.elapsed());
-            if left.is_zero() {
-                None
-            } else {
-                Some(SolveBudget {
-                    time_limit: Some(left),
-                    ..*budget
-                })
-            }
-        }
-    }
-}
-
-/// Column generation over per-cell breakpoint blocks, for the (enveloped,
-/// pure-LP) allocation formulation at scales where the monolithic model is
-/// too large to build or solve.
-///
-/// The full LP is `max Σ_ij λ_ij·y_ij` subject to per-cell convexity rows
-/// `Σ_j λ_ij = 1` and one budget row `Σ_ij λ_ij·x_ij ≤ B`. The restricted
-/// master holds a small breakpoint subset per cell, seeded from the greedy
-/// concave-envelope fill (which is already optimal for the enveloped LP up
-/// to per-cell caps, so the seed is a near-optimal incumbent). Each round
-/// solves the master with the sparse revised simplex, reads the budget dual
-/// `μ` and convexity duals `π_i` off the optimal basis, and adds the best
-/// positively-priced breakpoint `argmax_j y_ij − μ·x_ij − π_i` per cell;
-/// when no column prices in, the master optimum is optimal for the full LP.
-fn solve_allocation_colgen(
-    problem: &PlanningProblem,
-    utilities: &[PwlFunction],
-    config: &PlannerConfig,
-) -> PatrolPlan {
-    let start = Instant::now();
-    let n = utilities.len();
-    // Column generation always works on the concave envelope (the master's
-    // LP relaxation would be dual-degenerate on non-concave pieces).
-    let envelopes: Vec<PwlFunction> = utilities
-        .iter()
-        .map(|u| {
-            if u.is_concave(1e-9) {
-                u.clone()
-            } else {
-                u.concave_envelope()
-            }
-        })
-        .collect();
-
-    // Seed: breakpoint 0 plus the breakpoints bracketing the greedy fill.
-    let greedy = greedy_coverage(problem, utilities);
-    let mut cols: Vec<Vec<usize>> = Vec::with_capacity(n);
-    for (i, env) in envelopes.iter().enumerate() {
-        let xs = env.xs();
-        let mut s = vec![0usize];
-        if greedy[i] > 0.0 && xs.len() > 1 {
-            let idx = xs
-                .partition_point(|&x| x < greedy[i])
-                .clamp(1, xs.len() - 1);
-            if idx - 1 > 0 {
-                s.push(idx - 1);
-            }
-            s.push(idx);
-        }
-        cols.push(s);
-    }
-    // The budget row needs at least one term; if the greedy fill allocated
-    // nothing anywhere (zero km budget), the all-zero plan is optimal.
-    if !cols
-        .iter()
-        .zip(&envelopes)
-        .any(|(s, env)| s.iter().any(|&j| env.xs()[j] != 0.0))
-    {
-        let objective = envelopes.iter().map(|env| env.ys()[0]).sum();
-        return PatrolPlan {
-            coverage: vec![0.0; n],
-            objective,
-            solve_time: Duration::default(),
-            nodes: 0,
-            lp_solves: 0,
-            status: SolveStatus::Optimal,
-        };
-    }
-
-    let mut rounds = 0usize;
-    let mut incumbent: Option<(Vec<f64>, f64)> = None;
-    // Previous round's optimal basis plus the struct-column prefix offsets
-    // it was taken under, for re-seating in the grown master.
-    let mut prev: Option<(Vec<usize>, BasisSnapshot)> = None;
-    let finish = |incumbent: Option<(Vec<f64>, f64)>, rounds: usize, status: SolveStatus| {
-        match incumbent {
-            Some((coverage, objective)) => PatrolPlan {
-                coverage,
-                objective,
-                solve_time: Duration::default(),
-                nodes: 0,
-                lp_solves: rounds,
-                status,
-            },
-            // No master ever finished: signal the caller to fall back to
-            // the solver-free greedy incumbent.
-            None => PatrolPlan {
-                coverage: vec![0.0; n],
-                objective: f64::NEG_INFINITY,
-                solve_time: Duration::default(),
-                nodes: 0,
-                lp_solves: rounds,
-                status: SolveStatus::BudgetExceeded,
-            },
-        }
-    };
-
-    loop {
-        let Some(round_budget) = remaining_budget(&config.milp.budget, start) else {
-            let status = if incumbent.is_some() {
-                SolveStatus::Degraded
-            } else {
-                SolveStatus::BudgetExceeded
-            };
-            return finish(incumbent, rounds, status);
-        };
-        rounds += 1;
-
-        // Build the restricted master: rows 0..n are the convexity rows in
-        // cell order, row n is the budget row.
-        let mut rmp = Model::new(Sense::Maximize);
-        let mut cell_vars: Vec<Vec<(Variable, usize)>> = Vec::with_capacity(n);
-        let mut prefix = Vec::with_capacity(n + 1);
-        prefix.push(0usize);
-        for (i, env) in envelopes.iter().enumerate() {
-            let ys = env.ys();
-            let vars: Vec<(Variable, usize)> = cols[i]
-                .iter()
-                .map(|&j| {
-                    (
-                        rmp.add_continuous(&format!("lam_{i}_{j}"), 0.0, f64::INFINITY, ys[j]),
-                        j,
-                    )
-                })
-                .collect();
-            prefix.push(prefix[i] + vars.len());
-            cell_vars.push(vars);
-        }
-        let n_struct = prefix[n];
-        for vars in &cell_vars {
-            let terms: Vec<(Variable, f64)> = vars.iter().map(|&(v, _)| (v, 1.0)).collect();
-            rmp.add_constraint(&terms, ConstraintOp::Eq, 1.0);
-        }
-        let budget_terms: Vec<(Variable, f64)> = cell_vars
-            .iter()
-            .zip(&envelopes)
-            .flat_map(|(vars, env)| {
-                vars.iter()
-                    .filter(|&&(_, j)| env.xs()[j] != 0.0)
-                    .map(|&(v, j)| (v, env.xs()[j]))
-            })
-            .collect();
-        rmp.add_constraint(&budget_terms, ConstraintOp::Le, problem.budget_km());
-
-        // Warm-start the master so no round pays a phase-1 pass over the n
-        // convexity rows: round 1 installs the breakpoint-0 column of every
-        // cell plus the budget slack (primal feasible at zero coverage,
-        // identity-like basis); later rounds re-seat the previous optimal
-        // basis, which stays feasible and non-singular because new columns
-        // enter at their lower bound and retained columns keep their
-        // per-cell local positions.
-        let warm = match &prev {
-            Some((old_prefix, snap)) => {
-                let old_n_struct = old_prefix[n];
-                let remapped: Vec<usize> = snap
-                    .basic_columns()
-                    .iter()
-                    .map(|&c| {
-                        if c < old_n_struct {
-                            let cell = old_prefix.partition_point(|&p| p <= c) - 1;
-                            prefix[cell] + (c - old_prefix[cell])
-                        } else {
-                            n_struct + (c - old_n_struct)
-                        }
-                    })
-                    .collect();
-                BasisSnapshot::from_basic_columns(n + 1, n_struct, &remapped)
-            }
-            None => {
-                let mut basic: Vec<usize> = prefix[..n].to_vec();
-                basic.push(n_struct + n);
-                BasisSnapshot::from_basic_columns(n + 1, n_struct, &basic)
-            }
-        };
-        let outcome = SparseLp::new(&rmp).solve_warm(None, &round_budget, warm.as_ref());
-        let sol = &outcome.solution;
-        match sol.status {
-            SolveStatus::Optimal | SolveStatus::Degraded | SolveStatus::LimitReached => {
-                let coverage: Vec<f64> = cell_vars
-                    .iter()
-                    .zip(&envelopes)
-                    .map(|(vars, env)| {
-                        vars.iter()
-                            .map(|&(v, j)| sol.value(v) * env.xs()[j])
-                            .sum::<f64>()
-                            .max(0.0)
-                    })
-                    .collect();
-                incumbent = Some((coverage, sol.objective));
-                prev = outcome.basis.as_ref().map(|b| (prefix.clone(), b.clone()));
-                if sol.status != SolveStatus::Optimal {
-                    // Interrupted master: its point is still primal
-                    // feasible for the full problem.
-                    return finish(incumbent, rounds, SolveStatus::Degraded);
-                }
-            }
-            SolveStatus::BudgetExceeded => {
-                let status = if incumbent.is_some() {
-                    SolveStatus::Degraded
-                } else {
-                    SolveStatus::BudgetExceeded
-                };
-                return finish(incumbent, rounds, status);
-            }
-            // Structurally impossible (the master is feasible and bounded
-            // by construction); surface it so try_plan reports an error.
-            other => {
-                return PatrolPlan {
-                    coverage: vec![0.0; n],
-                    objective: sol.objective,
-                    solve_time: Duration::default(),
-                    nodes: 0,
-                    lp_solves: rounds,
-                    status: other,
-                };
-            }
-        }
-
-        // Pricing: best improving breakpoint per cell.
-        let mu = outcome.duals[n];
-        let mut added = false;
-        for (i, env) in envelopes.iter().enumerate() {
-            let (xs, ys) = (env.xs(), env.ys());
-            let pi = outcome.duals[i];
-            let mut best: Option<(usize, f64)> = None;
-            for j in 0..xs.len() {
-                if cols[i].contains(&j) {
-                    continue;
-                }
-                let rc = ys[j] - mu * xs[j] - pi;
-                if rc > CG_PRICE_TOL && best.is_none_or(|(_, brc)| rc > brc) {
-                    best = Some((j, rc));
-                }
-            }
-            if let Some((j, _)) = best {
-                cols[i].push(j);
-                added = true;
-            }
-        }
-        if !added {
-            return finish(incumbent, rounds, SolveStatus::Optimal);
-        }
-        if rounds >= CG_MAX_ROUNDS {
-            return finish(incumbent, rounds, SolveStatus::Degraded);
-        }
-    }
-}
-
+/// The allocation formulation as a λ / SOS2 model: one PWL block per cell
+/// plus the budget row Σ_v c_v ≤ T·K, solved by branch-and-bound.
 fn solve_allocation(
     problem: &PlanningProblem,
     utilities: &[PwlFunction],
     config: &PlannerConfig,
-) -> PatrolPlan {
-    if use_column_generation(utilities, config) {
-        return solve_allocation_colgen(problem, utilities, config);
-    }
+) -> Result<PatrolPlan, SolverError> {
     let mut model = Model::new(Sense::Maximize);
     let mut blocks = Vec::with_capacity(problem.n_cells());
     for (i, u) in utilities.iter().enumerate() {
-        blocks.push(add_pwl_block(&mut model, u, i, config.exact_sos2));
+        blocks.push(add_pwl_block(&mut model, u, i)?);
     }
     // Budget: Σ_v c_v ≤ T·K where c_v = Σ_j λ_vj x_vj.
     let mut budget_terms = Vec::new();
@@ -620,18 +357,18 @@ fn solve_allocation(
             }
         }
     }
-    model.add_constraint(&budget_terms, ConstraintOp::Le, problem.budget_km());
+    model.try_add_constraint(&budget_terms, ConstraintOp::Le, problem.budget_km())?;
 
     let (solution, stats) = solve_milp(&model, &config.milp);
     let coverage = extract_coverage(&solution.values, &blocks);
-    PatrolPlan {
+    Ok(PatrolPlan {
         coverage,
         objective: solution.objective,
         solve_time: Duration::default(),
         nodes: stats.nodes,
         lp_solves: stats.lp_solves,
         status: solution.status,
-    }
+    })
 }
 
 #[allow(clippy::needless_range_loop)]
@@ -639,7 +376,7 @@ fn solve_flow(
     problem: &PlanningProblem,
     utilities: &[PwlFunction],
     config: &PlannerConfig,
-) -> PatrolPlan {
+) -> Result<PatrolPlan, SolverError> {
     let t_steps = steps_for(problem.patrol_length_km);
     let k = problem.n_patrols as f64;
     let n = problem.n_cells();
@@ -653,7 +390,7 @@ fn solve_flow(
         targets.push(i);
         for t in 0..t_steps {
             for &j in &targets {
-                let v = model.add_continuous(&format!("f_{i}_{j}_{t}"), 0.0, k, 0.0);
+                let v = model.try_add_continuous(&format!("f_{i}_{j}_{t}"), 0.0, k, 0.0)?;
                 flow[i][t].push((j, v));
             }
         }
@@ -664,7 +401,7 @@ fn solve_flow(
     for i in 0..n {
         let terms: Vec<(Variable, f64)> = flow[i][0].iter().map(|&(_, v)| (v, 1.0)).collect();
         let rhs = if i == problem.post_index { k } else { 0.0 };
-        model.add_constraint(&terms, ConstraintOp::Eq, rhs);
+        model.try_add_constraint(&terms, ConstraintOp::Eq, rhs)?;
     }
     // Conservation: inflow into (i, t) equals outflow from (i, t) for
     // 1 <= t < T; at t = T all flow must be at the post (sink).
@@ -682,7 +419,7 @@ fn solve_flow(
             for &(_, v) in &flow[i][t] {
                 terms.push((v, -1.0));
             }
-            model.add_constraint(&terms, ConstraintOp::Eq, 0.0);
+            model.try_add_constraint(&terms, ConstraintOp::Eq, 0.0)?;
         }
     }
     // Sink: the inflow at the final step must return to the post.
@@ -694,13 +431,13 @@ fn solve_flow(
             }
         }
     }
-    model.add_constraint(&sink_terms, ConstraintOp::Eq, k);
+    model.try_add_constraint(&sink_terms, ConstraintOp::Eq, k)?;
 
     // Coverage of cell i: time steps spent at i = Σ_t outflow from (i, t).
     // Link to the PWL blocks: Σ_j λ_ij x_ij − c_i = 0.
     let mut blocks = Vec::with_capacity(n);
     for (i, u) in utilities.iter().enumerate() {
-        let block = add_pwl_block(&mut model, u, i, config.exact_sos2);
+        let block = add_pwl_block(&mut model, u, i)?;
         let mut link: Vec<(Variable, f64)> = block
             .0
             .iter()
@@ -713,20 +450,20 @@ fn solve_flow(
                 link.push((v, -1.0));
             }
         }
-        model.add_constraint(&link, ConstraintOp::Eq, 0.0);
+        model.try_add_constraint(&link, ConstraintOp::Eq, 0.0)?;
         blocks.push(block);
     }
 
     let (solution, stats) = solve_milp(&model, &config.milp);
     let coverage = extract_coverage(&solution.values, &blocks);
-    PatrolPlan {
+    Ok(PatrolPlan {
         coverage,
         objective: solution.objective,
         solve_time: Duration::default(),
         nodes: stats.nodes,
         lp_solves: stats.lp_solves,
         status: solution.status,
-    }
+    })
 }
 
 fn extract_coverage(values: &[f64], blocks: &[(Vec<Variable>, Vec<f64>)]) -> Vec<f64> {
@@ -890,122 +627,218 @@ mod tests {
         assert!(flow.objective > 0.0);
     }
 
+    /// The planner's enveloped utilities, as `try_plan` builds them for
+    /// `exact_sos2 = false`.
+    fn enveloped_utilities(problem: &PlanningProblem, segments: usize) -> Vec<PwlFunction> {
+        cell_utilities(problem, segments)
+            .unwrap()
+            .into_iter()
+            .map(|u| u.concave_envelope())
+            .collect()
+    }
+
+    fn assert_feasible(problem: &PlanningProblem, plan: &PatrolPlan, what: &str) {
+        let total: f64 = plan.coverage.iter().sum();
+        assert!(
+            total <= problem.budget_km() + 1e-6,
+            "{what}: over budget: {total}"
+        );
+        for (i, &c) in plan.coverage.iter().enumerate() {
+            assert!(c >= -1e-9, "{what}: cell {i} negative: {c}");
+            assert!(
+                c <= problem.max_effort(i) + 1e-6,
+                "{what}: cell {i} over its cap: {c}"
+            );
+        }
+    }
+
     #[test]
     fn starved_budget_returns_feasible_degraded_plan() {
-        let problem = small_problem(0.5, 8.0, 3);
+        // Exact SOS2 on S-shaped cells builds a MILP, so a zero budget
+        // reaches (and starves) the solver.
+        let problem = s_shaped_problem(12, 0x5EED);
+        let starved = MilpOptions {
+            budget: paws_solver::SolveBudget::with_time_limit(Duration::ZERO),
+            ..MilpOptions::default()
+        };
         let config = PlannerConfig {
+            segments: 8,
+            exact_sos2: true,
+            milp: starved.clone(),
+            ..PlannerConfig::default()
+        };
+        let p = try_plan(&problem, &config).expect("degraded, not an error");
+        assert_eq!(p.status, SolveStatus::Degraded);
+        assert_feasible(&problem, &p, "degraded plan");
+        let total: f64 = p.coverage.iter().sum();
+        // The greedy incumbent is a real plan, not an all-zero placeholder.
+        assert!(total > 0.0);
+        assert!(p.objective > 0.0);
+        // Scored under the PWL the exact model optimises: the utilities
+        // as sampled, not their envelopes.
+        let sampled = cell_utilities(&problem, 8).unwrap();
+        assert_eq!(
+            p.objective.to_bits(),
+            pwl_objective(&sampled, &p.coverage).to_bits()
+        );
+
+        // The pure-LP plan never reaches the solver, so the same starved
+        // budget leaves it Optimal and bit-identical to the unbudgeted plan.
+        let pure = small_problem(0.5, 8.0, 3);
+        let free = solve(&pure, &PlannerConfig::default());
+        let budgeted = solve(
+            &pure,
+            &PlannerConfig {
+                milp: starved,
+                ..PlannerConfig::default()
+            },
+        );
+        assert_eq!(budgeted.status, SolveStatus::Optimal);
+        assert_eq!(budgeted.objective.to_bits(), free.objective.to_bits());
+        assert_eq!(budgeted.coverage, free.coverage);
+    }
+
+    #[test]
+    fn starved_flow_fallback_reports_the_enveloped_objective() {
+        // Every cell is S-shaped, so the envelope and the sampled utility
+        // differ wherever the fallback allocates effort.
+        let problem = s_shaped_problem(4, 0xF10);
+        let config = PlannerConfig {
+            method: PlannerMethod::Flow,
+            segments: 6,
             milp: MilpOptions {
                 budget: paws_solver::SolveBudget::with_time_limit(Duration::ZERO),
                 ..MilpOptions::default()
             },
             ..PlannerConfig::default()
         };
+        assert!(!config.exact_sos2);
         let p = try_plan(&problem, &config).expect("degraded, not an error");
         assert_eq!(p.status, SolveStatus::Degraded);
-        let total: f64 = p.coverage.iter().sum();
+        assert_feasible(&problem, &p, "flow fallback");
+        let sampled = cell_utilities(&problem, config.segments).unwrap();
+        let enveloped: f64 = sampled
+            .iter()
+            .zip(&p.coverage)
+            .map(|(u, &c)| u.concave_envelope().eval(c))
+            .sum();
+        let raw: f64 = sampled
+            .iter()
+            .zip(&p.coverage)
+            .map(|(u, &c)| u.eval(c))
+            .sum();
         assert!(
-            total <= problem.budget_km() + 1e-6,
-            "degraded plan violates the budget: {total}"
+            (p.objective - enveloped).abs() <= 1e-12 * enveloped.abs().max(1.0),
+            "fallback objective {} vs Σ envelope(c) {enveloped}",
+            p.objective
         );
-        for (i, &c) in p.coverage.iter().enumerate() {
-            assert!(c >= -1e-9);
-            assert!(
-                c <= problem.max_effort(i) + 1e-6,
-                "cell {i} over its cap: {c}"
-            );
-        }
-        // The greedy incumbent is a real plan, not an all-zero placeholder.
-        assert!(total > 0.0);
-        assert!(p.objective > 0.0);
+        assert!(
+            enveloped - raw > 1e-6,
+            "the instance must tell the two objectives apart"
+        );
     }
 
     #[test]
     fn generous_budget_reproduces_the_unbudgeted_plan_exactly() {
-        let problem = small_problem(0.5, 8.0, 2);
-        let free = solve(&problem, &PlannerConfig::default());
-        let config = PlannerConfig {
-            milp: MilpOptions {
-                budget: paws_solver::SolveBudget::with_time_limit(Duration::from_secs(3600)),
-                ..MilpOptions::default()
-            },
-            ..PlannerConfig::default()
+        let generous = MilpOptions {
+            budget: paws_solver::SolveBudget::with_time_limit(Duration::from_secs(3600)),
+            ..MilpOptions::default()
         };
-        let budgeted = solve(&problem, &config);
-        assert_eq!(budgeted.status, free.status);
-        assert_eq!(budgeted.coverage, free.coverage);
-        assert_eq!(budgeted.objective, free.objective);
-    }
-
-    #[test]
-    fn column_generation_matches_full_model_objective() {
-        let problem = small_problem(0.5, 8.0, 2);
-        let full = solve(
-            &problem,
-            &PlannerConfig {
-                decomposition: Decomposition::FullModel,
-                ..PlannerConfig::default()
-            },
-        );
-        let cg = solve(
-            &problem,
-            &PlannerConfig {
-                decomposition: Decomposition::ColumnGeneration,
-                ..PlannerConfig::default()
-            },
-        );
-        assert_eq!(full.status, SolveStatus::Optimal);
-        assert_eq!(cg.status, SolveStatus::Optimal);
-        assert!(
-            (cg.objective - full.objective).abs() <= 1e-9 * full.objective.abs().max(1.0),
-            "cg {} vs full {}",
-            cg.objective,
-            full.objective
-        );
-        // The CG plan is feasible for the same budget and caps.
-        let total: f64 = cg.coverage.iter().sum();
-        assert!(total <= problem.budget_km() + 1e-6);
-        for (i, &c) in cg.coverage.iter().enumerate() {
-            assert!(c >= -1e-9);
-            assert!(c <= problem.max_effort(i) + 1e-6);
+        for (problem, base) in [
+            (small_problem(0.5, 8.0, 2), PlannerConfig::default()),
+            (
+                s_shaped_problem(12, 0x5EED),
+                PlannerConfig {
+                    segments: 8,
+                    exact_sos2: true,
+                    ..PlannerConfig::default()
+                },
+            ),
+        ] {
+            let free = solve(&problem, &base);
+            let budgeted = solve(
+                &problem,
+                &PlannerConfig {
+                    milp: generous.clone(),
+                    ..base
+                },
+            );
+            assert_eq!(budgeted.status, free.status);
+            assert_eq!(budgeted.coverage, free.coverage);
+            assert_eq!(budgeted.objective, free.objective);
+            assert_eq!(budgeted.nodes, free.nodes);
+            assert_eq!(budgeted.lp_solves, free.lp_solves);
         }
-        // Pure LP at every round: no branch-and-bound nodes.
-        assert_eq!(cg.nodes, 0);
-        assert!(cg.lp_solves >= 1);
     }
 
     #[test]
-    fn column_generation_respects_exhausted_budget() {
-        let problem = small_problem(0.5, 8.0, 3);
-        let config = PlannerConfig {
-            decomposition: Decomposition::ColumnGeneration,
-            milp: MilpOptions {
-                budget: paws_solver::SolveBudget::with_time_limit(Duration::ZERO),
-                ..MilpOptions::default()
-            },
-            ..PlannerConfig::default()
-        };
-        let p = try_plan(&problem, &config).expect("degraded, not an error");
-        assert_eq!(p.status, SolveStatus::Degraded);
-        let total: f64 = p.coverage.iter().sum();
-        assert!(total <= problem.budget_km() + 1e-6);
-        assert!(total > 0.0, "fallback plan should allocate something");
+    fn greedy_plan_matches_the_lambda_model_across_a_seeded_sweep() {
+        // β × patrol shape × segments on the synthetic test park, plus
+        // S-shaped (all non-concave) cells: the greedy fill must reach the
+        // λ-model optimum (PWL blocks + budget row through solve_milp).
+        let shapes = [(2.0, 1), (4.0, 1), (8.0, 2), (8.0, 3), (12.0, 2)];
+        let mut instances: Vec<(PlanningProblem, usize)> = Vec::new();
+        for beta in [0.0, 0.5, 0.8, 1.0] {
+            for &(patrol_len, n_patrols) in &shapes {
+                for segments in [5, 10, 30] {
+                    instances.push((small_problem(beta, patrol_len, n_patrols), segments));
+                }
+            }
+        }
+        for seed in [0x5EED, 1, 2, 3] {
+            for segments in [5, 10, 30] {
+                instances.push((s_shaped_problem(12, seed), segments));
+            }
+        }
+        assert_eq!(instances.len(), 72);
+        for (k, (problem, segments)) in instances.iter().enumerate() {
+            let config = PlannerConfig {
+                segments: *segments,
+                ..PlannerConfig::default()
+            };
+            let greedy = solve(problem, &config);
+            assert_eq!(greedy.status, SolveStatus::Optimal);
+            assert_eq!((greedy.nodes, greedy.lp_solves), (0, 0));
+            assert_feasible(problem, &greedy, &format!("instance {k}"));
+
+            let utilities = enveloped_utilities(problem, *segments);
+            let reference = solve_allocation(problem, &utilities, &config).unwrap();
+            assert_eq!(reference.status, SolveStatus::Optimal);
+            assert_eq!(reference.nodes, 0, "the enveloped model is a pure LP");
+            assert!(
+                (greedy.objective - reference.objective).abs()
+                    <= 1e-9 * reference.objective.abs().max(1.0),
+                "instance {k}: greedy {} vs λ-model {}",
+                greedy.objective,
+                reference.objective
+            );
+        }
     }
 
     #[test]
-    fn auto_decomposition_keeps_small_instances_on_the_full_model() {
-        // The golden small instances must be bit-identical under Auto.
-        let problem = small_problem(0.5, 8.0, 2);
-        let auto = solve(&problem, &PlannerConfig::default());
-        let full = solve(
-            &problem,
-            &PlannerConfig {
-                decomposition: Decomposition::FullModel,
+    fn non_finite_utilities_are_typed_errors_on_every_path() {
+        let mut problem = small_problem(0.0, 4.0, 1);
+        let xs = problem.cells[0].g.xs().to_vec();
+        let mut ys = problem.cells[0].g.ys().to_vec();
+        ys[1] = f64::NAN;
+        problem.cells[0].g = PwlFunction::new(xs, ys);
+        let bad = Err(PlanError::Solver(SolverError::Input(
+            "objective coefficient must be finite",
+        )));
+        for config in [
+            PlannerConfig::default(),
+            PlannerConfig {
+                exact_sos2: true,
                 ..PlannerConfig::default()
             },
-        );
-        assert_eq!(auto.coverage, full.coverage);
-        assert_eq!(auto.objective, full.objective);
-        assert_eq!(auto.lp_solves, full.lp_solves);
+            PlannerConfig {
+                method: PlannerMethod::Flow,
+                segments: 4,
+                ..PlannerConfig::default()
+            },
+        ] {
+            assert_eq!(try_plan(&problem, &config).map(|p| p.status), bad);
+        }
     }
 
     #[test]

@@ -362,7 +362,7 @@ mod tests {
 
     #[test]
     fn lapsed_deadlines_refuse_queries_and_starved_plans_degrade() {
-        let (server, park) = server_with_park();
+        let (mut server, park) = server_with_park();
         let answers = server.submit(&[
             QueryRequest::new("mondulkiri", QueryKind::RiskMap { effort_km: 1.0 })
                 .with_budget(SolveBudget::with_time_limit(Duration::ZERO)),
@@ -376,18 +376,19 @@ mod tests {
 
         // A plan whose budget lapses *during* the batch (deadline checks
         // pass at admission, solver budget is already empty) degrades to
-        // the greedy incumbent instead of hanging or failing.
-        let plan_req = QueryRequest::new(
-            "mondulkiri",
-            QueryKind::PatrolPlan {
-                post: park.patrol_posts[0],
-                effort_grid: vec![0.0, 0.5, 1.0, 2.0],
-                patrol_length_km: 8.0,
-                n_patrols: 2,
-                beta: 0.8,
-            },
-        )
-        .with_budget(SolveBudget::with_time_limit(Duration::from_nanos(1)));
+        // the greedy incumbent instead of hanging or failing. Exact SOS2
+        // keeps the plan on the branch-and-bound path: the default
+        // enveloped plan needs no solver, so no budget can starve it.
+        server.planner.exact_sos2 = true;
+        let plan_kind = QueryKind::PatrolPlan {
+            post: park.patrol_posts[0],
+            effort_grid: vec![0.0, 0.5, 1.0, 2.0],
+            patrol_length_km: 8.0,
+            n_patrols: 2,
+            beta: 0.8,
+        };
+        let plan_req = QueryRequest::new("mondulkiri", plan_kind.clone())
+            .with_budget(SolveBudget::with_time_limit(Duration::from_nanos(1)));
         // The nanosecond budget may or may not lapse before admission on a
         // fast machine; both outcomes are acceptable, a panic or an
         // untagged full solve is not.
@@ -398,6 +399,36 @@ mod tests {
             }
             Err(ServeError::DeadlineExceeded { .. }) => {}
             other => panic!("unexpected starved-plan outcome: {other:?}"),
+        }
+
+        // A one-iteration LP budget always passes admission and always
+        // starves branch-and-bound: the exact plan degrades every time.
+        let starved = SolveBudget {
+            time_limit: None,
+            max_lp_iterations: Some(1),
+        };
+        let starved_req =
+            || QueryRequest::new("mondulkiri", plan_kind.clone()).with_budget(starved);
+        match &server.submit(&[starved_req()])[0] {
+            Ok(QueryResponse::PatrolPlan(plan)) => {
+                assert_eq!(plan.status, SolveStatus::Degraded);
+            }
+            other => panic!("unexpected starved exact plan: {other:?}"),
+        }
+        // The same starved budget leaves the default plan Optimal and
+        // bit-identical to the unbudgeted one.
+        server.planner.exact_sos2 = false;
+        let answers = server.submit(&[
+            starved_req(),
+            QueryRequest::new("mondulkiri", plan_kind.clone()),
+        ]);
+        match (&answers[0], &answers[1]) {
+            (Ok(QueryResponse::PatrolPlan(starved)), Ok(QueryResponse::PatrolPlan(free))) => {
+                assert_eq!(starved.status, SolveStatus::Optimal);
+                assert_eq!(starved.objective.to_bits(), free.objective.to_bits());
+                assert_eq!(starved.coverage, free.coverage);
+            }
+            other => panic!("unexpected pure-LP plans: {other:?}"),
         }
     }
 

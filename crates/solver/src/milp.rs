@@ -5,28 +5,14 @@
 //! pieces; all other decision variables (patrol effort, flows, λ weights)
 //! are continuous. Branch-and-bound on the binaries is therefore
 //! sufficient. Relaxations are solved by the sparse revised simplex of
-//! [`crate::revised`] by default — one [`SparseLp`] workspace is built per
-//! search and every node warm-starts from its parent's optimal basis — with
-//! the dense tableau of [`crate::simplex`] selectable via
-//! [`MilpOptions::engine`] for parity testing and benchmarking.
+//! [`crate::revised`]: one [`SparseLp`] workspace is built per search and
+//! every node warm-starts from its parent's optimal basis.
 
 use std::rc::Rc;
 
 use crate::budget::{deadline_expired, SolveBudget};
 use crate::model::{Model, Sense, Solution, SolveStatus};
 use crate::revised::{BasisSnapshot, SparseLp};
-use crate::simplex::solve_lp_inner;
-
-/// Which LP engine branch-and-bound uses for node relaxations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum LpEngine {
-    /// Sparse revised simplex with a shared workspace and parent-basis warm
-    /// starts — the default.
-    #[default]
-    Sparse,
-    /// The dense tableau reference engine (solves every node from scratch).
-    Dense,
-}
 
 /// Options controlling the branch-and-bound search.
 #[derive(Debug, Clone)]
@@ -43,8 +29,6 @@ pub struct MilpOptions {
     /// [`SolveStatus::Degraded`] ([`SolveStatus::BudgetExceeded`] when no
     /// incumbent was found in time). Unlimited by default.
     pub budget: SolveBudget,
-    /// Relaxation engine; [`LpEngine::Sparse`] unless stated otherwise.
-    pub engine: LpEngine,
 }
 
 impl Default for MilpOptions {
@@ -54,7 +38,6 @@ impl Default for MilpOptions {
             gap_tolerance: 1e-6,
             int_tolerance: 1e-6,
             budget: SolveBudget::unlimited(),
-            engine: LpEngine::default(),
         }
     }
 }
@@ -67,7 +50,7 @@ pub struct MilpStats {
     /// Number of LP relaxations solved.
     pub lp_solves: usize,
     /// Number of relaxations that successfully warm-started from their
-    /// parent node's basis (always 0 on the dense engine).
+    /// parent node's basis.
     pub warm_starts: usize,
 }
 
@@ -92,29 +75,20 @@ pub fn solve_milp(model: &Model, options: &MilpOptions) -> (Solution, MilpStats)
     // One sparse workspace per search: CSC build and solver scratch are
     // shared by every relaxation, and each node warm-starts from the basis
     // its parent left behind.
-    let mut sparse_ws = match options.engine {
-        LpEngine::Sparse => Some(SparseLp::new(model)),
-        LpEngine::Dense => None,
-    };
-    let solve_relax = |ws: &mut Option<SparseLp>,
-                       bounds: &[(f64, f64)],
-                       warm: Option<&BasisSnapshot>,
-                       stats: &mut MilpStats|
+    let mut ws = SparseLp::new(model);
+    let mut solve_relax = |bounds: &[(f64, f64)],
+                           warm: Option<&BasisSnapshot>,
+                           stats: &mut MilpStats|
      -> (Solution, Option<Rc<BasisSnapshot>>) {
         stats.lp_solves += 1;
-        match ws {
-            Some(ws) => {
-                let out = ws.solve_inner(Some(bounds), lp_cap, deadline, warm);
-                if out.warm_started {
-                    stats.warm_starts += 1;
-                }
-                (out.solution, out.basis.map(Rc::new))
-            }
-            None => (solve_lp_inner(model, Some(bounds), lp_cap, deadline), None),
+        let out = ws.solve_inner(Some(bounds), lp_cap, deadline, warm);
+        if out.warm_started {
+            stats.warm_starts += 1;
         }
+        (out.solution, out.basis.map(Rc::new))
     };
 
-    let (root, root_basis) = solve_relax(&mut sparse_ws, &root_bounds, None, &mut stats);
+    let (root, root_basis) = solve_relax(&root_bounds, None, &mut stats);
     match root.status {
         SolveStatus::Infeasible | SolveStatus::Unbounded | SolveStatus::BudgetExceeded => {
             return (root, stats)
@@ -162,12 +136,7 @@ pub fn solve_milp(model: &Model, options: &MilpOptions) -> (Solution, MilpStats)
             }
         }
 
-        let (relax, relax_basis) = solve_relax(
-            &mut sparse_ws,
-            &node.bounds,
-            node.warm.as_deref(),
-            &mut stats,
-        );
+        let (relax, relax_basis) = solve_relax(&node.bounds, node.warm.as_deref(), &mut stats);
         if relax.status == SolveStatus::Infeasible {
             continue;
         }
@@ -290,6 +259,7 @@ fn most_fractional<V: Copy>(values: impl Iterator<Item = (V, f64)>, tol: f64) ->
 mod tests {
     use super::*;
     use crate::model::{ConstraintOp, Model, Sense};
+    use crate::simplex::solve_lp_dense;
 
     #[test]
     fn most_fractional_skips_non_finite_and_picks_nearest_half() {
@@ -319,10 +289,11 @@ mod tests {
     fn solves_small_knapsack() {
         // Knapsack: values 10, 13, 7; weights 5, 7, 4; capacity 9 -> pick items 1 and 3 (17).
         let mut m = Model::new(Sense::Maximize);
-        let x1 = m.add_binary("x1", 10.0);
-        let x2 = m.add_binary("x2", 13.0);
-        let x3 = m.add_binary("x3", 7.0);
-        m.add_constraint(&[(x1, 5.0), (x2, 7.0), (x3, 4.0)], ConstraintOp::Le, 9.0);
+        let x1 = m.try_add_binary("x1", 10.0).unwrap();
+        let x2 = m.try_add_binary("x2", 13.0).unwrap();
+        let x3 = m.try_add_binary("x3", 7.0).unwrap();
+        m.try_add_constraint(&[(x1, 5.0), (x2, 7.0), (x3, 4.0)], ConstraintOp::Le, 9.0)
+            .unwrap();
         let (sol, stats) = solve_milp(&m, &MilpOptions::default());
         assert_eq!(sol.status, SolveStatus::Optimal);
         assert!((sol.objective - 17.0).abs() < 1e-6);
@@ -337,9 +308,10 @@ mod tests {
         // max 4y + x  s.t. x <= 3.5, x + 10y <= 10, y binary.
         // y=1 -> x <= 0 -> obj 4; y=0 -> x <= 3.5 -> obj 3.5. Optimal y=1.
         let mut m = Model::new(Sense::Maximize);
-        let x = m.add_continuous("x", 0.0, 3.5, 1.0);
-        let y = m.add_binary("y", 4.0);
-        m.add_constraint(&[(x, 1.0), (y, 10.0)], ConstraintOp::Le, 10.0);
+        let x = m.try_add_continuous("x", 0.0, 3.5, 1.0).unwrap();
+        let y = m.try_add_binary("y", 4.0).unwrap();
+        m.try_add_constraint(&[(x, 1.0), (y, 10.0)], ConstraintOp::Le, 10.0)
+            .unwrap();
         let (sol, _) = solve_milp(&m, &MilpOptions::default());
         assert_eq!(sol.status, SolveStatus::Optimal);
         assert!((sol.objective - 4.0).abs() < 1e-6);
@@ -349,8 +321,9 @@ mod tests {
     #[test]
     fn pure_lp_passes_through() {
         let mut m = Model::new(Sense::Maximize);
-        let x = m.add_continuous("x", 0.0, 2.0, 1.0);
-        m.add_constraint(&[(x, 1.0)], ConstraintOp::Le, 5.0);
+        let x = m.try_add_continuous("x", 0.0, 2.0, 1.0).unwrap();
+        m.try_add_constraint(&[(x, 1.0)], ConstraintOp::Le, 5.0)
+            .unwrap();
         let (sol, stats) = solve_milp(&m, &MilpOptions::default());
         assert_eq!(sol.status, SolveStatus::Optimal);
         assert!((sol.objective - 2.0).abs() < 1e-6);
@@ -360,9 +333,10 @@ mod tests {
     #[test]
     fn infeasible_binary_problem_detected() {
         let mut m = Model::new(Sense::Maximize);
-        let x = m.add_binary("x", 1.0);
-        let y = m.add_binary("y", 1.0);
-        m.add_constraint(&[(x, 1.0), (y, 1.0)], ConstraintOp::Ge, 3.0);
+        let x = m.try_add_binary("x", 1.0).unwrap();
+        let y = m.try_add_binary("y", 1.0).unwrap();
+        m.try_add_constraint(&[(x, 1.0), (y, 1.0)], ConstraintOp::Ge, 3.0)
+            .unwrap();
         let (sol, _) = solve_milp(&m, &MilpOptions::default());
         assert_eq!(sol.status, SolveStatus::Infeasible);
     }
@@ -371,10 +345,11 @@ mod tests {
     fn set_partitioning_exactly_one() {
         // Choose exactly one of three options, maximise value.
         let mut m = Model::new(Sense::Maximize);
-        let a = m.add_binary("a", 2.0);
-        let b = m.add_binary("b", 5.0);
-        let c = m.add_binary("c", 3.0);
-        m.add_constraint(&[(a, 1.0), (b, 1.0), (c, 1.0)], ConstraintOp::Eq, 1.0);
+        let a = m.try_add_binary("a", 2.0).unwrap();
+        let b = m.try_add_binary("b", 5.0).unwrap();
+        let c = m.try_add_binary("c", 3.0).unwrap();
+        m.try_add_constraint(&[(a, 1.0), (b, 1.0), (c, 1.0)], ConstraintOp::Eq, 1.0)
+            .unwrap();
         let (sol, _) = solve_milp(&m, &MilpOptions::default());
         assert!((sol.objective - 5.0).abs() < 1e-6);
         assert!((sol.value(b) - 1.0).abs() < 1e-6);
@@ -384,10 +359,11 @@ mod tests {
     fn minimisation_branching_works() {
         // min 3a + 2b + 4c s.t. a + b + c >= 2 (binaries) -> pick b and a? 2+3=5 vs b+c=6, a+c=7 -> 5.
         let mut m = Model::new(Sense::Minimize);
-        let a = m.add_binary("a", 3.0);
-        let b = m.add_binary("b", 2.0);
-        let c = m.add_binary("c", 4.0);
-        m.add_constraint(&[(a, 1.0), (b, 1.0), (c, 1.0)], ConstraintOp::Ge, 2.0);
+        let a = m.try_add_binary("a", 3.0).unwrap();
+        let b = m.try_add_binary("b", 2.0).unwrap();
+        let c = m.try_add_binary("c", 4.0).unwrap();
+        m.try_add_constraint(&[(a, 1.0), (b, 1.0), (c, 1.0)], ConstraintOp::Ge, 2.0)
+            .unwrap();
         let (sol, _) = solve_milp(&m, &MilpOptions::default());
         assert!((sol.objective - 5.0).abs() < 1e-6);
         assert!((sol.value(a) - 1.0).abs() < 1e-6);
@@ -399,14 +375,17 @@ mod tests {
         // A 12-item knapsack with a node limit of 1 cannot finish.
         let mut m = Model::new(Sense::Maximize);
         let vars: Vec<_> = (0..12)
-            .map(|i| m.add_binary(&format!("x{i}"), (i % 5) as f64 + 1.5))
+            .map(|i| {
+                m.try_add_binary(&format!("x{i}"), (i % 5) as f64 + 1.5)
+                    .unwrap()
+            })
             .collect();
         let terms: Vec<_> = vars
             .iter()
             .enumerate()
             .map(|(i, &v)| (v, (i % 3) as f64 + 1.0))
             .collect();
-        m.add_constraint(&terms, ConstraintOp::Le, 7.5);
+        m.try_add_constraint(&terms, ConstraintOp::Le, 7.5).unwrap();
         let options = MilpOptions {
             max_nodes: 1,
             ..MilpOptions::default()
@@ -419,10 +398,11 @@ mod tests {
     #[test]
     fn generous_budget_reproduces_unbudgeted_milp_exactly() {
         let mut m = Model::new(Sense::Maximize);
-        let x1 = m.add_binary("x1", 10.0);
-        let x2 = m.add_binary("x2", 13.0);
-        let x3 = m.add_binary("x3", 7.0);
-        m.add_constraint(&[(x1, 5.0), (x2, 7.0), (x3, 4.0)], ConstraintOp::Le, 9.0);
+        let x1 = m.try_add_binary("x1", 10.0).unwrap();
+        let x2 = m.try_add_binary("x2", 13.0).unwrap();
+        let x3 = m.try_add_binary("x3", 7.0).unwrap();
+        m.try_add_constraint(&[(x1, 5.0), (x2, 7.0), (x3, 4.0)], ConstraintOp::Le, 9.0)
+            .unwrap();
         let (free, free_stats) = solve_milp(&m, &MilpOptions::default());
         let options = MilpOptions {
             budget: crate::budget::SolveBudget::with_time_limit(std::time::Duration::from_secs(
@@ -442,14 +422,17 @@ mod tests {
     fn expired_deadline_returns_budget_exceeded_without_hanging() {
         let mut m = Model::new(Sense::Maximize);
         let vars: Vec<_> = (0..10)
-            .map(|i| m.add_binary(&format!("x{i}"), (i % 4) as f64 + 1.0))
+            .map(|i| {
+                m.try_add_binary(&format!("x{i}"), (i % 4) as f64 + 1.0)
+                    .unwrap()
+            })
             .collect();
         let terms: Vec<_> = vars
             .iter()
             .enumerate()
             .map(|(i, &v)| (v, (i % 3) as f64 + 1.0))
             .collect();
-        m.add_constraint(&terms, ConstraintOp::Le, 6.5);
+        m.try_add_constraint(&terms, ConstraintOp::Le, 6.5).unwrap();
         let options = MilpOptions {
             budget: crate::budget::SolveBudget::with_time_limit(std::time::Duration::ZERO),
             ..MilpOptions::default()
@@ -464,9 +447,10 @@ mod tests {
         // to optimality; the search must still terminate with a typed
         // budget status rather than mis-reporting optimality.
         let mut m = Model::new(Sense::Maximize);
-        let x = m.add_binary("x", 3.0);
-        let y = m.add_binary("y", 2.0);
-        m.add_constraint(&[(x, 2.0), (y, 2.0)], ConstraintOp::Le, 3.0);
+        let x = m.try_add_binary("x", 3.0).unwrap();
+        let y = m.try_add_binary("y", 2.0).unwrap();
+        m.try_add_constraint(&[(x, 2.0), (y, 2.0)], ConstraintOp::Le, 3.0)
+            .unwrap();
         let options = MilpOptions {
             budget: crate::budget::SolveBudget {
                 time_limit: None,
@@ -485,41 +469,93 @@ mod tests {
         );
     }
 
+    /// Exhaustive reference for models with at most 10 binaries: fix every
+    /// 0/1 assignment through bound overrides, solve each continuous
+    /// remainder with the dense tableau, and keep the best optimal
+    /// objective (`None` when no assignment is feasible).
+    fn exhaustive_optimum(model: &Model) -> Option<f64> {
+        let binaries = model.binary_vars();
+        assert!(binaries.len() <= 10, "the oracle enumerates 2^binaries");
+        let free = vec![(f64::NEG_INFINITY, f64::INFINITY); model.n_vars()];
+        (0..1u32 << binaries.len())
+            .filter_map(|mask| {
+                let mut bounds = free.clone();
+                for (k, v) in binaries.iter().enumerate() {
+                    let b = f64::from((mask >> k) & 1);
+                    bounds[v.0] = (b, b);
+                }
+                let sol = solve_lp_dense(model, Some(&bounds));
+                (sol.status == SolveStatus::Optimal).then_some(sol.objective)
+            })
+            .reduce(|a, b| match model.sense() {
+                Sense::Maximize => a.max(b),
+                Sense::Minimize => a.min(b),
+            })
+    }
+
     #[test]
-    fn sparse_and_dense_engines_agree_and_sparse_warm_starts() {
+    fn branch_and_bound_matches_the_exhaustive_oracle_and_warm_starts() {
         let mut m = Model::new(Sense::Maximize);
         let vars: Vec<_> = (0..10)
-            .map(|i| m.add_binary(&format!("x{i}"), ((i * 7) % 11) as f64 + 0.5))
+            .map(|i| {
+                m.try_add_binary(&format!("x{i}"), ((i * 7) % 11) as f64 + 0.5)
+                    .unwrap()
+            })
             .collect();
         let terms: Vec<_> = vars
             .iter()
             .enumerate()
             .map(|(i, &v)| (v, ((i * 3) % 5) as f64 + 1.0))
             .collect();
-        m.add_constraint(&terms, ConstraintOp::Le, 11.5);
-        let (sparse, sparse_stats) = solve_milp(&m, &MilpOptions::default());
-        let (dense, dense_stats) = solve_milp(
-            &m,
-            &MilpOptions {
-                engine: LpEngine::Dense,
-                ..MilpOptions::default()
-            },
-        );
-        assert_eq!(sparse.status, SolveStatus::Optimal);
-        assert_eq!(dense.status, SolveStatus::Optimal);
+        m.try_add_constraint(&terms, ConstraintOp::Le, 11.5)
+            .unwrap();
+        let (sol, stats) = solve_milp(&m, &MilpOptions::default());
+        assert_eq!(sol.status, SolveStatus::Optimal);
+        let oracle = exhaustive_optimum(&m).expect("the all-zero point is feasible");
         assert!(
-            (sparse.objective - dense.objective).abs() < 1e-9,
-            "sparse {} vs dense {}",
-            sparse.objective,
-            dense.objective
+            (sol.objective - oracle).abs() < 1e-9,
+            "branch-and-bound {} vs exhaustive {oracle}",
+            sol.objective
         );
-        // The dense engine never warm-starts; the sparse engine should
-        // reuse parent bases for most non-root relaxations.
-        assert_eq!(dense_stats.warm_starts, 0);
+        // Non-root relaxations should reuse their parent's basis.
         assert!(
-            sparse_stats.lp_solves <= 1 || sparse_stats.warm_starts > 0,
-            "expected warm starts in {sparse_stats:?}"
+            stats.lp_solves <= 1 || stats.warm_starts > 0,
+            "expected warm starts in {stats:?}"
         );
+
+        // A mixed model (binaries coupled to a continuous part, minimised)
+        // and an infeasible one agree with the oracle too.
+        let mut mixed = Model::new(Sense::Minimize);
+        let x = mixed.try_add_continuous("x", 0.0, 6.0, 1.5).unwrap();
+        let bs: Vec<_> = (0..4)
+            .map(|i| {
+                mixed
+                    .try_add_binary(&format!("b{i}"), 2.0 + i as f64)
+                    .unwrap()
+            })
+            .collect();
+        let mut cover = vec![(x, 1.0)];
+        cover.extend(bs.iter().enumerate().map(|(i, &b)| (b, 1.5 + i as f64)));
+        mixed
+            .try_add_constraint(&cover, ConstraintOp::Ge, 7.25)
+            .unwrap();
+        mixed
+            .try_add_constraint(&[(bs[0], 1.0), (bs[3], 1.0)], ConstraintOp::Le, 1.0)
+            .unwrap();
+        let (sol, _) = solve_milp(&mixed, &MilpOptions::default());
+        assert_eq!(sol.status, SolveStatus::Optimal);
+        let oracle = exhaustive_optimum(&mixed).expect("feasible");
+        assert!((sol.objective - oracle).abs() < 1e-9);
+
+        let mut infeasible = Model::new(Sense::Maximize);
+        let a = infeasible.try_add_binary("a", 1.0).unwrap();
+        let b = infeasible.try_add_binary("b", 1.0).unwrap();
+        infeasible
+            .try_add_constraint(&[(a, 1.0), (b, 1.0)], ConstraintOp::Ge, 3.0)
+            .unwrap();
+        assert_eq!(exhaustive_optimum(&infeasible), None);
+        let (sol, _) = solve_milp(&infeasible, &MilpOptions::default());
+        assert_eq!(sol.status, SolveStatus::Infeasible);
     }
 
     #[test]
@@ -545,14 +581,15 @@ mod tests {
 
         let mut m = Model::new(Sense::Maximize);
         let vars: Vec<_> = (0..n)
-            .map(|i| m.add_binary(&format!("x{i}"), values[i]))
+            .map(|i| m.try_add_binary(&format!("x{i}"), values[i]).unwrap())
             .collect();
         let terms: Vec<_> = vars
             .iter()
             .enumerate()
             .map(|(i, &v)| (v, weights[i] as f64))
             .collect();
-        m.add_constraint(&terms, ConstraintOp::Le, capacity as f64);
+        m.try_add_constraint(&terms, ConstraintOp::Le, capacity as f64)
+            .unwrap();
         let (sol, _) = solve_milp(&m, &MilpOptions::default());
         assert_eq!(sol.status, SolveStatus::Optimal);
         assert!(

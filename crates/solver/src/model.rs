@@ -175,8 +175,10 @@ impl Model {
         self.sense
     }
 
-    /// Fallible twin of [`Model::add_continuous`]: rejects non-finite or
-    /// inconsistent inputs with [`SolverError::Input`] instead of panicking.
+    /// Add a continuous variable with bounds `[lower, upper]` and objective
+    /// coefficient `objective`. The upper bound may be `f64::INFINITY` for
+    /// an unbounded-above variable. Non-finite or inconsistent inputs are
+    /// rejected with [`SolverError::Input`] and add nothing.
     pub fn try_add_continuous(
         &mut self,
         name: &str,
@@ -206,28 +208,8 @@ impl Model {
         Ok(Variable(self.vars.len() - 1))
     }
 
-    /// Add a continuous variable with bounds `[lower, upper]` and objective
-    /// coefficient `objective`.
-    /// The upper bound may be `f64::INFINITY` for an unbounded-above variable.
-    ///
-    /// # Panics
-    /// On invalid input; [`Model::try_add_continuous`] is the typed-error
-    /// twin for callers that must not panic.
-    pub fn add_continuous(
-        &mut self,
-        name: &str,
-        lower: f64,
-        upper: f64,
-        objective: f64,
-    ) -> Variable {
-        match self.try_add_continuous(name, lower, upper, objective) {
-            Ok(v) => v,
-            Err(e) => panic!("add_continuous({name}): {e}"),
-        }
-    }
-
-    /// Fallible twin of [`Model::add_binary`]: rejects a non-finite
-    /// objective with [`SolverError::Input`] instead of panicking.
+    /// Add a binary variable with objective coefficient `objective`; a
+    /// non-finite objective is rejected with [`SolverError::Input`].
     pub fn try_add_binary(&mut self, name: &str, objective: f64) -> Result<Variable, SolverError> {
         if !objective.is_finite() {
             return Err(SolverError::Input("objective coefficient must be finite"));
@@ -242,20 +224,9 @@ impl Model {
         Ok(Variable(self.vars.len() - 1))
     }
 
-    /// Add a binary variable with objective coefficient `objective`.
-    ///
-    /// # Panics
-    /// On a non-finite objective; see [`Model::try_add_binary`].
-    pub fn add_binary(&mut self, name: &str, objective: f64) -> Variable {
-        match self.try_add_binary(name, objective) {
-            Ok(v) => v,
-            Err(e) => panic!("add_binary({name}): {e}"),
-        }
-    }
-
-    /// Fallible twin of [`Model::add_constraint`]: rejects empty term
-    /// lists, unknown variables, and non-finite coefficients or right-hand
-    /// sides with [`SolverError::Input`] instead of panicking.
+    /// Add a linear constraint `Σ coeff·var  op  rhs`. Empty term lists,
+    /// unknown variables, and non-finite coefficients or right-hand sides
+    /// are rejected with [`SolverError::Input`] and add nothing.
     pub fn try_add_constraint(
         &mut self,
         terms: &[(Variable, f64)],
@@ -282,17 +253,6 @@ impl Model {
             rhs,
         });
         Ok(())
-    }
-
-    /// Add a linear constraint `Σ coeff·var  op  rhs`.
-    ///
-    /// # Panics
-    /// On invalid input; [`Model::try_add_constraint`] is the typed-error
-    /// twin for callers that must not panic.
-    pub fn add_constraint(&mut self, terms: &[(Variable, f64)], op: ConstraintOp, rhs: f64) {
-        if let Err(e) = self.try_add_constraint(terms, op, rhs) {
-            panic!("add_constraint: {e}");
-        }
     }
 
     /// Number of variables.
@@ -367,9 +327,10 @@ mod tests {
     #[test]
     fn model_construction_and_introspection() {
         let mut m = Model::new(Sense::Maximize);
-        let x = m.add_continuous("x", 0.0, 10.0, 1.0);
-        let y = m.add_binary("y", 5.0);
-        m.add_constraint(&[(x, 1.0), (y, 2.0)], ConstraintOp::Le, 8.0);
+        let x = m.try_add_continuous("x", 0.0, 10.0, 1.0).unwrap();
+        let y = m.try_add_binary("y", 5.0).unwrap();
+        m.try_add_constraint(&[(x, 1.0), (y, 2.0)], ConstraintOp::Le, 8.0)
+            .unwrap();
         assert_eq!(m.n_vars(), 2);
         assert_eq!(m.n_constraints(), 1);
         assert_eq!(m.binary_vars(), vec![y]);
@@ -380,27 +341,13 @@ mod tests {
     #[test]
     fn feasibility_checks_bounds_and_constraints() {
         let mut m = Model::new(Sense::Minimize);
-        let x = m.add_continuous("x", 0.0, 5.0, 1.0);
-        m.add_constraint(&[(x, 1.0)], ConstraintOp::Ge, 2.0);
+        let x = m.try_add_continuous("x", 0.0, 5.0, 1.0).unwrap();
+        m.try_add_constraint(&[(x, 1.0)], ConstraintOp::Ge, 2.0)
+            .unwrap();
         assert!(m.is_feasible(&[3.0], 1e-9));
         assert!(!m.is_feasible(&[1.0], 1e-9)); // violates >= 2
         assert!(!m.is_feasible(&[6.0], 1e-9)); // violates upper bound
         assert!(!m.is_feasible(&[3.0, 0.0], 1e-9)); // wrong length
-    }
-
-    #[test]
-    #[should_panic(expected = "lower bound exceeds upper bound")]
-    fn bad_bounds_rejected() {
-        let mut m = Model::new(Sense::Maximize);
-        m.add_continuous("x", 2.0, 1.0, 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "unknown variable")]
-    fn constraint_with_unknown_variable_rejected() {
-        let mut m = Model::new(Sense::Maximize);
-        let _x = m.add_continuous("x", 0.0, 1.0, 0.0);
-        m.add_constraint(&[(Variable(5), 1.0)], ConstraintOp::Le, 1.0);
     }
 
     #[test]
@@ -443,7 +390,7 @@ mod tests {
     #[test]
     fn non_finite_constraint_inputs_return_typed_errors() {
         let mut m = Model::new(Sense::Maximize);
-        let x = m.add_continuous("x", 0.0, 1.0, 1.0);
+        let x = m.try_add_continuous("x", 0.0, 1.0, 1.0).unwrap();
         assert_eq!(
             m.try_add_constraint(&[], ConstraintOp::Le, 1.0),
             Err(SolverError::Input("constraint needs at least one term"))
@@ -469,13 +416,5 @@ mod tests {
             .try_add_constraint(&[(x, 1.0)], ConstraintOp::Le, 1.0)
             .is_ok());
         assert_eq!(m.n_constraints(), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "coefficient must be finite")]
-    fn panicking_facade_rejects_nan_coefficient() {
-        let mut m = Model::new(Sense::Maximize);
-        let x = m.add_continuous("x", 0.0, 1.0, 1.0);
-        m.add_constraint(&[(x, f64::NAN)], ConstraintOp::Le, 1.0);
     }
 }

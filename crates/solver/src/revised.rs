@@ -58,64 +58,22 @@ enum VState {
 /// solve of the *same* model under different bound overrides (the
 /// branch-and-bound pattern). Snapshots never reference artificial columns.
 #[derive(Debug, Clone)]
-pub struct BasisSnapshot {
+pub(crate) struct BasisSnapshot {
     basis: Vec<usize>,
     state: Vec<VState>,
 }
 
-impl BasisSnapshot {
-    /// Build a snapshot from an explicit list of basic columns — structural
-    /// indices `0..n_cols` followed by logical (slack) indices
-    /// `n_cols..n_cols + n_rows` — one per row, with every other variable
-    /// parked at its lower bound. Callers with structural knowledge (e.g. a
-    /// column-generation master whose convexity rows each carry a
-    /// known-feasible breakpoint column) use this to skip phase 1; the
-    /// solver still validates the hint (non-singularity, primal
-    /// feasibility, bound re-seating) and silently falls back to a cold
-    /// start when it is wrong, so a bad hint costs time, never
-    /// correctness. Returns `None` only when the shape is impossible:
-    /// wrong count, an out-of-range index, or a repeated column.
-    pub fn from_basic_columns(n_rows: usize, n_cols: usize, basic: &[usize]) -> Option<Self> {
-        let n_base = n_cols + n_rows;
-        if basic.len() != n_rows {
-            return None;
-        }
-        let mut state = vec![VState::AtLower; n_base];
-        for &c in basic {
-            if c >= n_base || state[c] == VState::Basic {
-                return None;
-            }
-            state[c] = VState::Basic;
-        }
-        Some(Self {
-            basis: basic.to_vec(),
-            state,
-        })
-    }
-
-    /// The basic column indices, one per row (structural columns first,
-    /// then logicals), in basis order.
-    pub fn basic_columns(&self) -> &[usize] {
-        &self.basis
-    }
-}
-
-/// Result of a sparse LP solve: the familiar [`Solution`] plus the row
-/// duals and the final basis.
+/// Result of a sparse LP solve: the familiar [`Solution`], plus (inside
+/// the crate) the final basis branch-and-bound warm-starts its children
+/// from.
 #[derive(Debug, Clone)]
 pub struct LpOutcome {
     /// Status, objective and primal values, exactly as [`solve_lp`] returns.
     pub solution: Solution,
-    /// Row duals `π` (one per model constraint, in model row order),
-    /// scaled to the model's own sense: the reduced cost of a column with
-    /// objective `c` and entries `a` is `c − πᵀa`, positive meaning
-    /// "improving" for `Maximize` and negative for `Minimize`. Meaningful
-    /// when the status is `Optimal`; zeros otherwise.
-    pub duals: Vec<f64>,
     /// Final basis, when it is warm-start reusable.
-    pub basis: Option<BasisSnapshot>,
+    pub(crate) basis: Option<BasisSnapshot>,
     /// Whether this solve reused a caller-supplied warm basis.
-    pub warm_started: bool,
+    pub(crate) warm_started: bool,
 }
 
 enum LoopExit {
@@ -135,8 +93,7 @@ enum RatioOutcome {
 
 /// A reusable sparse-LP workspace over one [`Model`]: the CSC build and all
 /// solver scratch are allocated once and reused across repeated solves with
-/// different bound overrides (branch-and-bound nodes, column-generation
-/// restricted masters re-built per round use one workspace per build).
+/// different bound overrides (branch-and-bound nodes).
 #[derive(Debug)]
 pub struct SparseLp {
     m: usize,
@@ -253,25 +210,11 @@ impl SparseLp {
         )
     }
 
-    /// Budgeted solve that additionally tries to start from `warm` (a basis
-    /// returned by an earlier solve of the same workspace, typically the
-    /// parent branch-and-bound node). A warm basis is used only when it is
-    /// still non-singular and primal feasible under the new bounds; the
-    /// solver silently falls back to a cold start otherwise.
-    pub fn solve_warm(
-        &mut self,
-        bound_overrides: Option<&[(f64, f64)]>,
-        budget: &SolveBudget,
-        warm: Option<&BasisSnapshot>,
-    ) -> LpOutcome {
-        self.solve_inner(
-            bound_overrides,
-            budget.max_lp_iterations,
-            budget.deadline(),
-            warm,
-        )
-    }
-
+    /// Solve under optional bound overrides, an iteration cap and a
+    /// deadline, starting from `warm` (a basis returned by an earlier solve
+    /// of this workspace, typically the parent branch-and-bound node) when
+    /// it is still non-singular and primal feasible under the new bounds;
+    /// otherwise from a cold start.
     pub(crate) fn solve_inner(
         &mut self,
         bound_overrides: Option<&[(f64, f64)]>,
@@ -372,7 +315,6 @@ impl SparseLp {
                             objective: f64::INFINITY,
                             values: vec![0.0; n],
                         },
-                        duals: vec![0.0; m],
                         basis: None,
                         warm_started: tried_warm,
                     };
@@ -402,12 +344,6 @@ impl SparseLp {
                 }
             }
             let objective: f64 = self.obj_orig.iter().zip(&values).map(|(c, x)| c * x).sum();
-            let duals = if status == SolveStatus::Optimal {
-                self.compute_duals();
-                self.duals_y.iter().map(|&y| self.sense_sign * y).collect()
-            } else {
-                vec![0.0; m]
-            };
             let snapshot = if self.basis.iter().all(|&b| b < n_base) {
                 Some(BasisSnapshot {
                     basis: self.basis.clone(),
@@ -422,7 +358,6 @@ impl SparseLp {
                     objective,
                     values,
                 },
-                duals,
                 basis: snapshot,
                 warm_started: tried_warm,
             };
@@ -887,7 +822,6 @@ impl SparseLp {
                 objective: f64::NEG_INFINITY,
                 values: vec![0.0; self.n_struct],
             },
-            duals: vec![0.0; self.m],
             basis: None,
             warm_started: false,
         }
@@ -904,7 +838,6 @@ impl SparseLp {
                 },
                 values: vec![0.0; self.n_struct],
             },
-            duals: vec![0.0; self.m],
             basis: None,
             warm_started: false,
         }
@@ -944,11 +877,14 @@ mod tests {
     #[test]
     fn solves_textbook_maximisation() {
         let mut m = Model::new(Sense::Maximize);
-        let x = m.add_continuous("x", 0.0, f64::INFINITY, 3.0);
-        let y = m.add_continuous("y", 0.0, f64::INFINITY, 5.0);
-        m.add_constraint(&[(x, 1.0)], ConstraintOp::Le, 4.0);
-        m.add_constraint(&[(y, 2.0)], ConstraintOp::Le, 12.0);
-        m.add_constraint(&[(x, 3.0), (y, 2.0)], ConstraintOp::Le, 18.0);
+        let x = m.try_add_continuous("x", 0.0, f64::INFINITY, 3.0).unwrap();
+        let y = m.try_add_continuous("y", 0.0, f64::INFINITY, 5.0).unwrap();
+        m.try_add_constraint(&[(x, 1.0)], ConstraintOp::Le, 4.0)
+            .unwrap();
+        m.try_add_constraint(&[(y, 2.0)], ConstraintOp::Le, 12.0)
+            .unwrap();
+        m.try_add_constraint(&[(x, 3.0), (y, 2.0)], ConstraintOp::Le, 18.0)
+            .unwrap();
         let sol = solve_lp(&m, None);
         assert_eq!(sol.status, SolveStatus::Optimal);
         assert!((sol.objective - 36.0).abs() < 1e-9);
@@ -960,9 +896,10 @@ mod tests {
     fn bounds_are_handled_without_rows() {
         // x in [1, 3] enforced directly: max x st. x + y <= 10, y in [0, 2].
         let mut m = Model::new(Sense::Maximize);
-        let x = m.add_continuous("x", 1.0, 3.0, 1.0);
-        let y = m.add_continuous("y", 0.0, 2.0, 1.0);
-        m.add_constraint(&[(x, 1.0), (y, 1.0)], ConstraintOp::Le, 10.0);
+        let x = m.try_add_continuous("x", 1.0, 3.0, 1.0).unwrap();
+        let y = m.try_add_continuous("y", 0.0, 2.0, 1.0).unwrap();
+        m.try_add_constraint(&[(x, 1.0), (y, 1.0)], ConstraintOp::Le, 10.0)
+            .unwrap();
         let sol = solve_lp(&m, None);
         assert_eq!(sol.status, SolveStatus::Optimal);
         assert!((sol.value(x) - 3.0).abs() < 1e-9);
@@ -974,10 +911,12 @@ mod tests {
     #[test]
     fn minimisation_with_ge_rows_needs_phase1() {
         let mut m = Model::new(Sense::Minimize);
-        let x = m.add_continuous("x", 0.0, f64::INFINITY, 2.0);
-        let y = m.add_continuous("y", 0.0, f64::INFINITY, 3.0);
-        m.add_constraint(&[(x, 1.0), (y, 1.0)], ConstraintOp::Ge, 4.0);
-        m.add_constraint(&[(x, 1.0)], ConstraintOp::Ge, 1.0);
+        let x = m.try_add_continuous("x", 0.0, f64::INFINITY, 2.0).unwrap();
+        let y = m.try_add_continuous("y", 0.0, f64::INFINITY, 3.0).unwrap();
+        m.try_add_constraint(&[(x, 1.0), (y, 1.0)], ConstraintOp::Ge, 4.0)
+            .unwrap();
+        m.try_add_constraint(&[(x, 1.0)], ConstraintOp::Ge, 1.0)
+            .unwrap();
         let sol = solve_lp(&m, None);
         assert_eq!(sol.status, SolveStatus::Optimal);
         assert!((sol.objective - 8.0).abs() < 1e-9);
@@ -986,15 +925,21 @@ mod tests {
     #[test]
     fn infeasible_and_unbounded_match_dense_statuses() {
         let mut inf = Model::new(Sense::Maximize);
-        let x = inf.add_continuous("x", 0.0, 1.0, 1.0);
-        inf.add_constraint(&[(x, 1.0)], ConstraintOp::Ge, 2.0);
+        let x = inf.try_add_continuous("x", 0.0, 1.0, 1.0).unwrap();
+        inf.try_add_constraint(&[(x, 1.0)], ConstraintOp::Ge, 2.0)
+            .unwrap();
         assert_eq!(solve_lp(&inf, None).status, SolveStatus::Infeasible);
         assert_eq!(solve_lp_dense(&inf, None).status, SolveStatus::Infeasible);
 
         let mut unb = Model::new(Sense::Maximize);
-        let x = unb.add_continuous("x", 0.0, f64::INFINITY, 1.0);
-        let y = unb.add_continuous("y", 0.0, f64::INFINITY, 0.0);
-        unb.add_constraint(&[(x, 1.0), (y, -1.0)], ConstraintOp::Le, 1.0);
+        let x = unb
+            .try_add_continuous("x", 0.0, f64::INFINITY, 1.0)
+            .unwrap();
+        let y = unb
+            .try_add_continuous("y", 0.0, f64::INFINITY, 0.0)
+            .unwrap();
+        unb.try_add_constraint(&[(x, 1.0), (y, -1.0)], ConstraintOp::Le, 1.0)
+            .unwrap();
         assert_eq!(solve_lp(&unb, None).status, SolveStatus::Unbounded);
         assert_eq!(solve_lp_dense(&unb, None).status, SolveStatus::Unbounded);
     }
@@ -1002,9 +947,10 @@ mod tests {
     #[test]
     fn equality_rows_and_fixed_vars() {
         let mut m = Model::new(Sense::Maximize);
-        let x = m.add_continuous("x", 0.0, 2.0, 1.0);
-        let y = m.add_continuous("y", 0.0, 4.0, 1.0);
-        m.add_constraint(&[(x, 1.0), (y, 1.0)], ConstraintOp::Eq, 5.0);
+        let x = m.try_add_continuous("x", 0.0, 2.0, 1.0).unwrap();
+        let y = m.try_add_continuous("y", 0.0, 4.0, 1.0).unwrap();
+        m.try_add_constraint(&[(x, 1.0), (y, 1.0)], ConstraintOp::Eq, 5.0)
+            .unwrap();
         let sol = solve_lp(&m, None);
         assert_eq!(sol.status, SolveStatus::Optimal);
         assert!((sol.objective - 5.0).abs() < 1e-9);
@@ -1016,73 +962,22 @@ mod tests {
     }
 
     #[test]
-    fn duals_price_columns_correctly() {
-        // max 3x st. x <= 4 — the budget row's shadow price is 3.
-        let mut m = Model::new(Sense::Maximize);
-        let x = m.add_continuous("x", 0.0, f64::INFINITY, 3.0);
-        m.add_constraint(&[(x, 1.0)], ConstraintOp::Le, 4.0);
-        let out = SparseLp::new(&m).solve(None);
-        assert_eq!(out.solution.status, SolveStatus::Optimal);
-        assert!((out.duals[0] - 3.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn warm_start_from_parent_bounds_is_used() {
         // A small LP solved twice: second solve warm-starts from the first
         // basis with a tightened bound on a nonbasic variable.
         let mut m = Model::new(Sense::Maximize);
-        let x = m.add_continuous("x", 0.0, 4.0, 3.0);
-        let y = m.add_continuous("y", 0.0, 6.0, 5.0);
-        m.add_constraint(&[(x, 3.0), (y, 2.0)], ConstraintOp::Le, 18.0);
+        let x = m.try_add_continuous("x", 0.0, 4.0, 3.0).unwrap();
+        let y = m.try_add_continuous("y", 0.0, 6.0, 5.0).unwrap();
+        m.try_add_constraint(&[(x, 3.0), (y, 2.0)], ConstraintOp::Le, 18.0)
+            .unwrap();
         let mut ws = SparseLp::new(&m);
         let first = ws.solve(None);
         assert_eq!(first.solution.status, SolveStatus::Optimal);
         let warm = first.basis.as_ref();
-        let again = ws.solve_warm(
-            Some(&[(0.0, 4.0), (0.0, 6.0)]),
-            &SolveBudget::unlimited(),
-            warm,
-        );
+        let again = ws.solve_inner(Some(&[(0.0, 4.0), (0.0, 6.0)]), None, None, warm);
         assert!(again.warm_started);
         assert_eq!(again.solution.status, SolveStatus::Optimal);
         assert!((again.solution.objective - first.solution.objective).abs() < 1e-9);
-    }
-
-    #[test]
-    fn hand_built_basis_hint_warm_starts_a_colgen_shaped_master() {
-        // A tiny column-generation master: two convexity Eq rows (which a
-        // cold start can only satisfy through phase-1 artificials) plus a
-        // budget row. Hinting the breakpoint-0 column of each cell and the
-        // budget slack as basic skips phase 1 entirely.
-        let mut m = Model::new(Sense::Maximize);
-        let a0 = m.add_continuous("a0", 0.0, f64::INFINITY, 0.0);
-        let a1 = m.add_continuous("a1", 0.0, f64::INFINITY, 2.0);
-        let b0 = m.add_continuous("b0", 0.0, f64::INFINITY, 0.0);
-        let b1 = m.add_continuous("b1", 0.0, f64::INFINITY, 5.0);
-        m.add_constraint(&[(a0, 1.0), (a1, 1.0)], ConstraintOp::Eq, 1.0);
-        m.add_constraint(&[(b0, 1.0), (b1, 1.0)], ConstraintOp::Eq, 1.0);
-        m.add_constraint(&[(a1, 2.0), (b1, 3.0)], ConstraintOp::Le, 4.0);
-        // Structural columns 0..4 (a0, a1, b0, b1), logicals 4..7; basic =
-        // {a0, b0, budget slack}.
-        let hint = BasisSnapshot::from_basic_columns(3, 4, &[0, 2, 6]).unwrap();
-        let out = SparseLp::new(&m).solve_warm(None, &SolveBudget::unlimited(), Some(&hint));
-        assert!(out.warm_started);
-        assert_eq!(out.solution.status, SolveStatus::Optimal);
-        // Optimum: b1 = 1 (utility 5, cost 3), a1 = 1/2 (utility 1).
-        assert!((out.solution.objective - 6.0).abs() < 1e-9);
-
-        // Impossible shapes are rejected up front; a plausible-looking but
-        // singular hint (two columns hitting the same row) falls back to a
-        // cold start and still reaches the optimum.
-        assert!(BasisSnapshot::from_basic_columns(3, 4, &[0, 2]).is_none());
-        assert!(BasisSnapshot::from_basic_columns(3, 4, &[0, 2, 9]).is_none());
-        assert!(BasisSnapshot::from_basic_columns(3, 4, &[0, 2, 2]).is_none());
-        let singular = BasisSnapshot::from_basic_columns(3, 4, &[0, 1, 6]).unwrap();
-        let fallback =
-            SparseLp::new(&m).solve_warm(None, &SolveBudget::unlimited(), Some(&singular));
-        assert!(!fallback.warm_started);
-        assert_eq!(fallback.solution.status, SolveStatus::Optimal);
-        assert!((fallback.solution.objective - 6.0).abs() < 1e-9);
     }
 
     #[test]
@@ -1091,21 +986,32 @@ mod tests {
         // tie-breaking cycles forever; Bland's rule terminates. Forcing
         // stall_limit = 0 runs the whole solve under Bland's rule.
         let mut m = Model::new(Sense::Maximize);
-        let x1 = m.add_continuous("x1", 0.0, f64::INFINITY, 0.75);
-        let x2 = m.add_continuous("x2", 0.0, f64::INFINITY, -150.0);
-        let x3 = m.add_continuous("x3", 0.0, f64::INFINITY, 0.02);
-        let x4 = m.add_continuous("x4", 0.0, f64::INFINITY, -6.0);
-        m.add_constraint(
+        let x1 = m
+            .try_add_continuous("x1", 0.0, f64::INFINITY, 0.75)
+            .unwrap();
+        let x2 = m
+            .try_add_continuous("x2", 0.0, f64::INFINITY, -150.0)
+            .unwrap();
+        let x3 = m
+            .try_add_continuous("x3", 0.0, f64::INFINITY, 0.02)
+            .unwrap();
+        let x4 = m
+            .try_add_continuous("x4", 0.0, f64::INFINITY, -6.0)
+            .unwrap();
+        m.try_add_constraint(
             &[(x1, 0.25), (x2, -60.0), (x3, -0.04), (x4, 9.0)],
             ConstraintOp::Le,
             0.0,
-        );
-        m.add_constraint(
+        )
+        .unwrap();
+        m.try_add_constraint(
             &[(x1, 0.5), (x2, -90.0), (x3, -0.02), (x4, 3.0)],
             ConstraintOp::Le,
             0.0,
-        );
-        m.add_constraint(&[(x3, 1.0)], ConstraintOp::Le, 1.0);
+        )
+        .unwrap();
+        m.try_add_constraint(&[(x3, 1.0)], ConstraintOp::Le, 1.0)
+            .unwrap();
         let mut ws = SparseLp::new(&m);
         ws.set_stall_limit(0);
         let out = ws.solve(None);
@@ -1121,9 +1027,11 @@ mod tests {
     fn budget_statuses_mirror_the_dense_engine() {
         // Expired deadline inside phase 1 → BudgetExceeded.
         let mut m = Model::new(Sense::Maximize);
-        let x = m.add_continuous("x", 0.0, f64::INFINITY, 1.0);
-        m.add_constraint(&[(x, 1.0)], ConstraintOp::Ge, 2.0);
-        m.add_constraint(&[(x, 1.0)], ConstraintOp::Le, 10.0);
+        let x = m.try_add_continuous("x", 0.0, f64::INFINITY, 1.0).unwrap();
+        m.try_add_constraint(&[(x, 1.0)], ConstraintOp::Ge, 2.0)
+            .unwrap();
+        m.try_add_constraint(&[(x, 1.0)], ConstraintOp::Le, 10.0)
+            .unwrap();
         let sol = solve_lp_budgeted(
             &m,
             None,
@@ -1133,8 +1041,9 @@ mod tests {
 
         // Expired deadline with a feasible start → Degraded feasible point.
         let mut m2 = Model::new(Sense::Maximize);
-        let x = m2.add_continuous("x", 0.0, 5.0, 1.0);
-        m2.add_constraint(&[(x, 1.0)], ConstraintOp::Le, 4.0);
+        let x = m2.try_add_continuous("x", 0.0, 5.0, 1.0).unwrap();
+        m2.try_add_constraint(&[(x, 1.0)], ConstraintOp::Le, 4.0)
+            .unwrap();
         let sol2 = solve_lp_budgeted(
             &m2,
             None,
@@ -1147,11 +1056,14 @@ mod tests {
     #[test]
     fn generous_budget_is_a_behavioural_noop() {
         let mut m = Model::new(Sense::Maximize);
-        let x = m.add_continuous("x", 0.0, f64::INFINITY, 3.0);
-        let y = m.add_continuous("y", 0.0, f64::INFINITY, 5.0);
-        m.add_constraint(&[(x, 1.0)], ConstraintOp::Le, 4.0);
-        m.add_constraint(&[(y, 2.0)], ConstraintOp::Le, 12.0);
-        m.add_constraint(&[(x, 3.0), (y, 2.0)], ConstraintOp::Le, 18.0);
+        let x = m.try_add_continuous("x", 0.0, f64::INFINITY, 3.0).unwrap();
+        let y = m.try_add_continuous("y", 0.0, f64::INFINITY, 5.0).unwrap();
+        m.try_add_constraint(&[(x, 1.0)], ConstraintOp::Le, 4.0)
+            .unwrap();
+        m.try_add_constraint(&[(y, 2.0)], ConstraintOp::Le, 12.0)
+            .unwrap();
+        m.try_add_constraint(&[(x, 3.0), (y, 2.0)], ConstraintOp::Le, 18.0)
+            .unwrap();
         let free = solve_lp(&m, None);
         let budgeted = solve_lp_budgeted(
             &m,
@@ -1166,21 +1078,28 @@ mod tests {
     #[test]
     fn degenerate_constraints_do_not_cycle() {
         let mut m = Model::new(Sense::Maximize);
-        let x = m.add_continuous("x", 0.0, f64::INFINITY, 10.0);
-        let y = m.add_continuous("y", 0.0, f64::INFINITY, -57.0);
-        let z = m.add_continuous("z", 0.0, f64::INFINITY, -9.0);
-        let w = m.add_continuous("w", 0.0, f64::INFINITY, -24.0);
-        m.add_constraint(
+        let x = m.try_add_continuous("x", 0.0, f64::INFINITY, 10.0).unwrap();
+        let y = m
+            .try_add_continuous("y", 0.0, f64::INFINITY, -57.0)
+            .unwrap();
+        let z = m.try_add_continuous("z", 0.0, f64::INFINITY, -9.0).unwrap();
+        let w = m
+            .try_add_continuous("w", 0.0, f64::INFINITY, -24.0)
+            .unwrap();
+        m.try_add_constraint(
             &[(x, 0.5), (y, -5.5), (z, -2.5), (w, 9.0)],
             ConstraintOp::Le,
             0.0,
-        );
-        m.add_constraint(
+        )
+        .unwrap();
+        m.try_add_constraint(
             &[(x, 0.5), (y, -1.5), (z, -0.5), (w, 1.0)],
             ConstraintOp::Le,
             0.0,
-        );
-        m.add_constraint(&[(x, 1.0)], ConstraintOp::Le, 1.0);
+        )
+        .unwrap();
+        m.try_add_constraint(&[(x, 1.0)], ConstraintOp::Le, 1.0)
+            .unwrap();
         let sol = solve_lp(&m, None);
         assert_eq!(sol.status, SolveStatus::Optimal);
         assert!((sol.objective - 1.0).abs() < 1e-9);
@@ -1189,15 +1108,15 @@ mod tests {
     #[test]
     fn no_constraint_models_degrade_to_bound_optimisation() {
         let mut m = Model::new(Sense::Maximize);
-        let x = m.add_continuous("x", -0.0, 7.0, 2.0);
-        let y = m.add_continuous("y", 1.0, 3.0, -1.0);
+        let x = m.try_add_continuous("x", -0.0, 7.0, 2.0).unwrap();
+        let y = m.try_add_continuous("y", 1.0, 3.0, -1.0).unwrap();
         let sol = solve_lp(&m, None);
         assert_eq!(sol.status, SolveStatus::Optimal);
         assert!((sol.value(x) - 7.0).abs() < 1e-12);
         assert!((sol.value(y) - 1.0).abs() < 1e-12);
         // Unbounded via bounds alone.
         let mut m2 = Model::new(Sense::Maximize);
-        m2.add_continuous("x", 0.0, f64::INFINITY, 1.0);
+        m2.try_add_continuous("x", 0.0, f64::INFINITY, 1.0).unwrap();
         assert_eq!(solve_lp(&m2, None).status, SolveStatus::Unbounded);
     }
 
@@ -1221,7 +1140,8 @@ mod tests {
                     } else {
                         lo + rng.gen_range(0.0..5.0)
                     };
-                    m.add_continuous(&format!("x{i}"), lo, hi, rng.gen_range(-3.0..3.0))
+                    m.try_add_continuous(&format!("x{i}"), lo, hi, rng.gen_range(-3.0..3.0))
+                        .unwrap()
                 })
                 .collect();
             for _ in 0..rng.gen_range(1..8) {
@@ -1239,7 +1159,8 @@ mod tests {
                     1 => ConstraintOp::Ge,
                     _ => ConstraintOp::Eq,
                 };
-                m.add_constraint(&terms, op, rng.gen_range(-4.0..6.0));
+                m.try_add_constraint(&terms, op, rng.gen_range(-4.0..6.0))
+                    .unwrap();
             }
             let dense = solve_lp_dense(&m, None);
             let sparse = solve_lp(&m, None);

@@ -49,7 +49,6 @@ allowlist() {
 5 crates/sim/src/behaviour.rs
 2 crates/sim/src/patrol.rs
 1 crates/solver/src/milp.rs
-3 crates/solver/src/model.rs
 EOF
 }
 

@@ -141,11 +141,10 @@ fn large_park_pipeline_runs_end_to_end() {
 fn large_park_sparse_planner_solves_a_park_wide_allocation() {
     // The LLC-scale planning claim end to end: fit a model on a 50k-cell
     // park, sample its response curves, and solve a *park-wide* allocation
-    // (a patrol length long enough that every cell is a candidate — the
-    // ~550k-λ LP the column-generation planner over the sparse revised
-    // simplex exists for; the dense tableau would need tens of gigabytes).
-    // Budgeted and unbudgeted solves must both come back Optimal and
-    // identical.
+    // (a patrol length long enough that every cell is a candidate — a
+    // ~550k-λ enveloped allocation problem, which the greedy segment fill
+    // solves exactly without any LP). Budgeted and unbudgeted solves must
+    // both come back Optimal and identical.
     use paws_solver::{MilpOptions, SolveBudget, SolveStatus};
     use std::time::Duration;
 

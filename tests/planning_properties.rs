@@ -96,16 +96,24 @@ proptest! {
 }
 
 /// Build a Fig. 8-scale planning problem: the full QENP park at the fig8
-/// bench's patrol budget (4 patrols × 10 km) with synthetic saturating
-/// response curves over the standard effort grid.
-fn qenp_scale_problem() -> PlanningProblem {
+/// bench's patrol budget (4 patrols × 10 km) with synthetic response curves
+/// over the standard effort grid — saturating, or S-shaped (convex, then
+/// concave) so that no utility is concave and exact SOS2 planning needs
+/// binaries.
+fn qenp_scale_problem(s_shaped: bool) -> PlanningProblem {
     let park = Park::generate(&qenp_spec(), 11);
     let post = park.patrol_posts[0];
     let grid: Vec<f64> = vec![0.0, 0.5, 1.0, 2.0, 4.0, 8.0];
     let probs: Vec<Vec<f64>> = (0..park.n_cells())
         .map(|i| {
             let s = (0.05 + 0.6 * ((i * 37 + 11) % 100) as f64 / 100.0).min(0.95);
-            grid.iter().map(|&e| s * (1.0 - (-0.7 * e).exp())).collect()
+            if s_shaped {
+                let mid = 1.0 + 2.0 * ((i * 53 + 7) % 100) as f64 / 100.0;
+                let logistic = |e: f64| s / (1.0 + (-3.0 * (e - mid)).exp());
+                grid.iter().map(|&e| logistic(e) - logistic(0.0)).collect()
+            } else {
+                grid.iter().map(|&e| s * (1.0 - (-0.7 * e).exp())).collect()
+            }
         })
         .collect();
     let vars: Vec<Vec<f64>> = (0..park.n_cells())
@@ -136,13 +144,19 @@ fn budgeted(budget: SolveBudget) -> PlannerConfig {
     }
 }
 
-/// Fig. 8-scale robustness: a ~1 ms wall-clock budget must come back fast
-/// with a feasible incumbent explicitly tagged `Degraded` — no hang, no
-/// panic — and its coverage must respect the km budget and per-cell caps.
+/// Fig. 8-scale robustness: with exact SOS2 on S-shaped cells the plan is
+/// a branch-and-bound solve, and a ~1 ms wall-clock budget must come back
+/// fast with a feasible incumbent explicitly tagged `Degraded` — no hang,
+/// no panic — whose coverage respects the km budget and per-cell caps. The
+/// default (pure-LP) plan needs no solver, so the same budget leaves it
+/// `Optimal` and bit-identical to the unbudgeted plan.
 #[test]
 fn qenp_scale_deadline_returns_degraded_feasible_incumbent() {
-    let problem = qenp_scale_problem();
-    let config = budgeted(SolveBudget::with_time_limit(Duration::from_millis(1)));
+    let problem = qenp_scale_problem(true);
+    let config = PlannerConfig {
+        exact_sos2: true,
+        ..budgeted(SolveBudget::with_time_limit(Duration::from_millis(1)))
+    };
     let t0 = Instant::now();
     let p = try_plan(&problem, &config).expect("budget exhaustion degrades, never errors");
     assert!(
@@ -159,13 +173,21 @@ fn qenp_scale_deadline_returns_degraded_feasible_incumbent() {
     }
     assert!(total > 0.0, "degraded incumbent allocated nothing");
     assert!(p.objective.is_finite() && p.objective > 0.0);
+
+    let pure = qenp_scale_problem(false);
+    let free = try_plan(&pure, &PlannerConfig::default()).unwrap();
+    let starved = budgeted(SolveBudget::with_time_limit(Duration::from_millis(1)));
+    let p = try_plan(&pure, &starved).unwrap();
+    assert_eq!(p.status, SolveStatus::Optimal);
+    assert_eq!(p.objective.to_bits(), free.objective.to_bits());
+    assert_eq!(p.coverage, free.coverage);
 }
 
 /// A generous budget must be a strict identity: exactly the plan the
 /// unbudgeted planner produced, down to the solver statistics.
 #[test]
 fn qenp_scale_generous_budget_reproduces_the_unbudgeted_plan() {
-    let problem = qenp_scale_problem();
+    let problem = qenp_scale_problem(false);
     let free = try_plan(&problem, &PlannerConfig::default()).unwrap();
     let generous = budgeted(SolveBudget::with_time_limit(Duration::from_secs(600)));
     let p = try_plan(&problem, &generous).expect("generous budget plans normally");
