@@ -128,11 +128,12 @@ fn fit_resident(seed: u64, precision: Precision) -> (Scenario, Dataset, ServingM
 
 fn bench_serve_throughput(c: &mut Criterion) {
     // Three resident parks spanning both planes (f64, f32, f64).
-    // The batched submit coalesces each park's risk levels into one
-    // response-surface kernel and shares identical grids; the per-request
-    // loop pays admission, lookup and traversal per query.
+    // The batched submit answers each park's risk maps, responses and
+    // plans from one union-grid traversal; the per-request loop pays
+    // admission, lookup and traversal per query.
     let server = PawsServer::new();
     let names = ["gonarezhou", "mondulkiri", "queen-elizabeth"];
+    let mut posts = Vec::new();
     for (i, name) in names.iter().enumerate() {
         let precision = if i == 1 {
             Precision::F32
@@ -141,6 +142,7 @@ fn bench_serve_throughput(c: &mut Criterion) {
         };
         let (scenario, dataset, model) = fit_resident(3 + i as u64, precision);
         let prev = vec![0.0; scenario.park.n_cells()];
+        posts.push(scenario.park.patrol_posts[0]);
         server
             .registry()
             .install(*name, model, scenario.park.clone(), &dataset, &prev)
@@ -148,7 +150,7 @@ fn bench_serve_throughput(c: &mut Criterion) {
     }
 
     // 24 risk-map queries: 8 per park over 4 distinct effort levels, with
-    // duplicates, so coalescing and the response cache both engage.
+    // duplicates, so every park group shares one union pass.
     let mut risk_batch = Vec::new();
     for q in 0..24usize {
         risk_batch.push(QueryRequest::new(
@@ -168,6 +170,35 @@ fn bench_serve_throughput(c: &mut Criterion) {
             },
         ));
     }
+    // The perfbench `serve_mix` batch shape: 8 risk maps at {0.5, 1, 2} km,
+    // one 6-level response and one plan over the same grid, 3 parks.
+    let paws_grid = vec![0.0, 0.5, 1.0, 2.0, 4.0, 8.0];
+    let mut paws_mix: Vec<QueryRequest> = (0..8usize)
+        .map(|q| {
+            QueryRequest::new(
+                names[q % names.len()],
+                QueryKind::RiskMap {
+                    effort_km: [0.5, 1.0, 2.0][(q / 3 + q) % 3],
+                },
+            )
+        })
+        .collect();
+    paws_mix.push(QueryRequest::new(
+        names[0],
+        QueryKind::ParkResponse {
+            effort_grid: paws_grid.clone(),
+        },
+    ));
+    paws_mix.push(QueryRequest::new(
+        names[1],
+        QueryKind::PatrolPlan {
+            post: posts[1],
+            effort_grid: paws_grid,
+            patrol_length_km: 12.0,
+            n_patrols: 3,
+            beta: 0.5,
+        },
+    ));
 
     let mut group = c.benchmark_group("serve_throughput");
     group.sample_size(20);
@@ -190,6 +221,9 @@ fn bench_serve_throughput(c: &mut Criterion) {
                 black_box(server.submit(std::slice::from_ref(req)));
             }
         })
+    });
+    group.bench_function("submit_batched_10_paws_mix_3_parks", |b| {
+        b.iter(|| black_box(server.submit(&paws_mix)))
     });
     group.finish();
 }

@@ -17,9 +17,9 @@
 //!   [`ModelRegistry::ingest_batch`] can fold a fresh patrol-log batch
 //!   into the dataset, refit incrementally, and hot-swap mid-traffic.
 //! * [`PawsServer`] — batched admission: group by park, snapshot each
-//!   bundle once, coalesce same-park risk-map levels into one pass of the
-//!   256-row block kernels, share identical response grids, fan park
-//!   groups across the work-stealing pool, and answer every request with
+//!   bundle once, fan park groups across the work-stealing pool, answer
+//!   every risk map, response and plan of a group from one response
+//!   surface over the union of its effort levels, and give every request
 //!   a typed result honouring its [`paws_solver::SolveBudget`] deadline.
 //!
 //! ```no_run

@@ -7,12 +7,21 @@
 //!    [`crate::registry::ResidentPark`] bundle exactly once — a hot swap
 //!    landing mid-batch never mixes artifacts within a group;
 //! 2. park groups fan out across the work-stealing pool, and inside a
-//!    group same-park work is **coalesced**: every risk-map request joins
-//!    one response-surface evaluation over the sorted union of requested
-//!    effort levels (one pass of the 256-row block kernels instead of one
-//!    per request — bit-identical, because a level's qualified learner set
-//!    depends only on the level, not on its neighbours in the grid), and
-//!    identical park-response / plan grids are computed once and shared;
+//!    group every surface request shares **one union pass**: the sorted,
+//!    `==`-deduplicated union of every valid level the group's live
+//!    requests ask for — risk-map levels plus every level of each
+//!    park-response and patrol-plan grid — goes through one
+//!    `try_park_response_prepared` traversal whenever the group has more
+//!    than one surface request. A risk map is its column; a response or
+//!    plan grid is the whole surface when it equals the union bitwise,
+//!    else its columns gathered in request order (duplicates and unsorted
+//!    grids allowed). This is exact, not approximate: the forest
+//!    traversal does not depend on the level at all, and a level's column
+//!    depends only on its qualified-learner prefix, which both the prefix
+//!    and the indexed combine accumulate over learners `0..l` in order —
+//!    so each cut is bit-identical to the direct call. A lone single-level
+//!    risk map, an invalid grid and a failed union pass take the direct
+//!    prepared call, so typed errors are unchanged;
 //! 3. each answer is a typed [`QueryResponse`] / [`ServeError`] — the
 //!    admission layer never panics on caller input — and a request whose
 //!    [`paws_solver::SolveBudget`] wall-clock deadline lapses before its
@@ -27,6 +36,7 @@ use paws_data::Matrix;
 use paws_plan::{try_plan, PlannerConfig};
 use paws_solver::SolveBudget;
 use rayon::prelude::*;
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
@@ -118,34 +128,7 @@ impl PawsServer {
                 .collect();
         };
 
-        // ---- Coalesce the group's risk-map levels into one union grid.
-        // A level's qualified learner set depends only on the level, so one
-        // response-surface pass over the sorted distinct levels yields each
-        // request's risk map as a column, bit-identical to a direct call.
-        let mut union_grid: Vec<f64> = group
-            .requests
-            .iter()
-            .filter_map(|(_, req)| match req.kind {
-                QueryKind::RiskMap { effort_km } if effort_km.is_finite() && effort_km >= 0.0 => {
-                    Some(effort_km)
-                }
-                _ => None,
-            })
-            .collect();
-        union_grid.sort_by(f64::total_cmp);
-        union_grid.dedup_by(|a, b| a == b);
-        let union_maps: Option<(Matrix, Matrix)> = if union_grid.len() > 1 {
-            resident
-                .model
-                .try_park_response_prepared(&resident.prepared, &union_grid)
-                .ok()
-        } else {
-            None
-        };
-
-        // ---- Share identical effort grids across response/plan requests.
-        let mut response_cache: HashMap<Vec<u64>, Result<(Matrix, Matrix), ServeError>> =
-            HashMap::new();
+        let union = UnionPass::run(&resident, &group.requests, admitted);
 
         group
             .requests
@@ -161,11 +144,29 @@ impl PawsServer {
                 }
                 let answer = match &req.kind {
                     QueryKind::RiskMap { effort_km } => {
-                        self.serve_risk_map(&resident, *effort_km, &union_grid, union_maps.as_ref())
+                        match union.as_ref().and_then(|u| u.cut(&[*effort_km])) {
+                            Some(maps) => {
+                                let (risk, uncertainty) = maps.into_owned();
+                                Ok(QueryResponse::RiskMap {
+                                    risk: risk.into_flat(),
+                                    uncertainty: uncertainty.into_flat(),
+                                })
+                            }
+                            None => resident
+                                .model
+                                .try_risk_map_prepared(&resident.prepared, *effort_km)
+                                .map(|(risk, uncertainty)| QueryResponse::RiskMap {
+                                    risk,
+                                    uncertainty,
+                                })
+                                .map_err(ServeError::from),
+                        }
                     }
                     QueryKind::ParkResponse { effort_grid } => {
-                        cached_response(&resident, effort_grid, &mut response_cache)
-                            .map(|(probs, vars)| QueryResponse::ParkResponse { probs, vars })
+                        surface(&resident, union.as_ref(), effort_grid).map(|maps| {
+                            let (probs, vars) = maps.into_owned();
+                            QueryResponse::ParkResponse { probs, vars }
+                        })
                     }
                     QueryKind::PatrolPlan {
                         post,
@@ -174,17 +175,17 @@ impl PawsServer {
                         n_patrols,
                         beta,
                     } => {
-                        let (probs, vars) =
-                            match cached_response(&resident, effort_grid, &mut response_cache) {
-                                Ok(maps) => maps,
-                                Err(e) => return (idx, Err(e)),
-                            };
+                        let maps = match surface(&resident, union.as_ref(), effort_grid) {
+                            Ok(maps) => maps,
+                            Err(e) => return (idx, Err(e)),
+                        };
+                        let (probs, vars) = &*maps;
                         let problem = match try_planning_problem_from_response(
                             &resident.park,
                             *post,
                             effort_grid,
-                            &probs,
-                            &vars,
+                            probs,
+                            vars,
                             *patrol_length_km,
                             *n_patrols,
                             *beta,
@@ -206,48 +207,111 @@ impl PawsServer {
             })
             .collect()
     }
+}
 
-    /// Answer one risk-map request, preferring the group's coalesced
-    /// surface; single-level groups (and any level the coalesced pass
-    /// could not serve) fall back to the direct prepared path.
-    fn serve_risk_map(
-        &self,
+/// One park group's response surface over the sorted, `==`-deduplicated
+/// union of every valid effort level its live requests ask for.
+struct UnionPass {
+    grid: Vec<f64>,
+    maps: (Matrix, Matrix),
+}
+
+impl UnionPass {
+    /// Traverse the park once for the whole group. `None` — every request
+    /// then takes its direct call — when fewer than two requests carry a
+    /// valid level set (nothing to share) or the pass itself fails (the
+    /// direct calls then return the same typed errors per request).
+    fn run(
         resident: &ResidentPark,
-        effort_km: f64,
-        union_grid: &[f64],
-        union_maps: Option<&(Matrix, Matrix)>,
-    ) -> Result<QueryResponse, ServeError> {
-        if let Some((probs, vars)) = union_maps {
-            if let Some(level) = union_grid.iter().position(|&g| g == effort_km) {
-                let risk: Vec<f64> = probs.rows().map(|r| r[level]).collect();
-                let uncertainty: Vec<f64> = vars.rows().map(|r| r[level]).collect();
-                return Ok(QueryResponse::RiskMap { risk, uncertainty });
+        requests: &[(usize, &QueryRequest)],
+        admitted: Instant,
+    ) -> Option<Self> {
+        let mut grid = Vec::new();
+        let mut surface_requests = 0usize;
+        for (_, req) in requests {
+            if deadline_lapsed(&req.budget, admitted) {
+                continue;
+            }
+            let levels = match &req.kind {
+                QueryKind::RiskMap { effort_km } => std::slice::from_ref(effort_km),
+                QueryKind::ParkResponse { effort_grid }
+                | QueryKind::PatrolPlan { effort_grid, .. } => effort_grid.as_slice(),
+            };
+            if valid_grid(levels) {
+                grid.extend_from_slice(levels);
+                surface_requests += 1;
             }
         }
-        resident
+        if surface_requests < 2 {
+            return None;
+        }
+        grid.sort_by(f64::total_cmp);
+        grid.dedup_by(|a, b| a == b);
+        let maps = resident
             .model
-            .try_risk_map_prepared(&resident.prepared, effort_km)
-            .map(|(risk, uncertainty)| QueryResponse::RiskMap { risk, uncertainty })
-            .map_err(ServeError::from)
+            .try_park_response_prepared(&resident.prepared, &grid)
+            .ok()?;
+        Some(Self { grid, maps })
+    }
+
+    /// The surface for `levels`, cut from the union pass: the whole
+    /// surface when the grids match bitwise, else the matching columns in
+    /// request order (duplicates and unsorted grids allowed). `None` for a
+    /// grid the pass cannot serve (empty, or a level outside the union —
+    /// which every invalid level is).
+    fn cut(&self, levels: &[f64]) -> Option<Cow<'_, (Matrix, Matrix)>> {
+        let same_bits = levels.len() == self.grid.len()
+            && levels
+                .iter()
+                .zip(&self.grid)
+                .all(|(a, b)| a.to_bits() == b.to_bits());
+        if same_bits {
+            return Some(Cow::Borrowed(&self.maps));
+        }
+        if levels.is_empty() {
+            return None;
+        }
+        let columns: Vec<usize> = levels
+            .iter()
+            .map(|&e| self.grid.iter().position(|&g| g == e))
+            .collect::<Option<_>>()?;
+        Some(Cow::Owned((
+            gather_columns(&self.maps.0, &columns),
+            gather_columns(&self.maps.1, &columns),
+        )))
     }
 }
 
-/// Compute (or reuse) the response surface for an exact effort grid.
-fn cached_response(
+/// The response surface for one request's grid: cut from the group's
+/// union pass when it covers the grid, else the direct prepared call.
+fn surface<'u>(
     resident: &ResidentPark,
+    union: Option<&'u UnionPass>,
     effort_grid: &[f64],
-    cache: &mut HashMap<Vec<u64>, Result<(Matrix, Matrix), ServeError>>,
-) -> Result<(Matrix, Matrix), ServeError> {
-    let key: Vec<u64> = effort_grid.iter().map(|e| e.to_bits()).collect();
-    cache
-        .entry(key)
-        .or_insert_with(|| {
-            resident
-                .model
-                .try_park_response_prepared(&resident.prepared, effort_grid)
-                .map_err(ServeError::from)
-        })
-        .clone()
+) -> Result<Cow<'u, (Matrix, Matrix)>, ServeError> {
+    if let Some(maps) = union.and_then(|u| u.cut(effort_grid)) {
+        return Ok(maps);
+    }
+    resident
+        .model
+        .try_park_response_prepared(&resident.prepared, effort_grid)
+        .map(Cow::Owned)
+        .map_err(ServeError::from)
+}
+
+/// A non-empty level set of finite, non-negative efforts — the levels the
+/// prepared queries accept.
+fn valid_grid(levels: &[f64]) -> bool {
+    !levels.is_empty() && levels.iter().all(|e| e.is_finite() && *e >= 0.0)
+}
+
+/// `columns` of `m`, in order, as a new row-major matrix.
+fn gather_columns(m: &Matrix, columns: &[usize]) -> Matrix {
+    let mut flat = Vec::with_capacity(m.n_rows() * columns.len());
+    for row in m.rows() {
+        flat.extend(columns.iter().map(|&c| row[c]));
+    }
+    Matrix::from_flat(flat, columns.len())
 }
 
 /// True when the request's wall-clock budget lapsed before its query ran.
