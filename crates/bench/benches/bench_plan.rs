@@ -34,7 +34,7 @@ fn test_park_problem(patrol_length_km: f64) -> PlanningProblem {
             grid.iter().map(|&e| (b + 0.03 * e).min(0.95)).collect()
         })
         .collect();
-    PlanningProblem::from_response(
+    PlanningProblem::try_from_response(
         &park,
         post,
         &grid,
@@ -44,6 +44,7 @@ fn test_park_problem(patrol_length_km: f64) -> PlanningProblem {
         3,
         1.0,
     )
+    .unwrap()
 }
 
 fn bench_allocation_segments(c: &mut Criterion) {

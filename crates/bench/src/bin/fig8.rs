@@ -116,8 +116,11 @@ fn main() -> Result<(), PawsError> {
             let mut gains = Vec::new();
             for &post in &posts {
                 let problem = build(post, beta)?;
-                let attack_local: Vec<f64> =
-                    problem.cells.iter().map(|c| attack[c.park_index]).collect();
+                let attack_local: Vec<f64> = problem
+                    .park_indices()
+                    .iter()
+                    .map(|&pi| attack[pi])
+                    .collect();
                 let cmp = compare_with_ground_truth(
                     &problem,
                     &PlannerConfig::default(),

@@ -8,9 +8,10 @@
 //! scale produced the reported numbers.
 
 use paws_core::{ModelConfig, Scenario, WeakLearnerKind};
+use paws_data::Matrix;
 use paws_data::{build_dataset, Dataset, Discretization};
 use paws_geo::Park;
-use paws_plan::{PlanningCell, PlanningProblem, PwlFunction};
+use paws_plan::{PlanningProblem, ProblemError};
 use serde::Serialize;
 use std::path::PathBuf;
 
@@ -117,44 +118,34 @@ pub fn full_reach_problem(park: &Park, budget_km: f64, beta: f64) -> PlanningPro
     let patrol_length_km = budget_km / 4.0;
     // (T − 2·travel) × 4 patrols = 8 km of feasible effort per cell.
     let travel_km = ((patrol_length_km - 2.0) / 2.0).max(0.0);
-    let cells: Vec<PlanningCell> = park
-        .cells
-        .iter()
-        .enumerate()
-        .map(|(i, &cell)| {
-            let s = 0.1 + 0.8 * ((i * 37) % 100) as f64 / 100.0;
-            let rate = 0.3 + 0.5 * ((i * 53) % 97) as f64 / 97.0;
-            let b = 0.05 + 0.4 * ((i * 61) % 100) as f64 / 100.0;
-            let g_ys: Vec<f64> = grid
-                .iter()
-                .map(|&e| s * (1.0 - (-rate * e).exp()))
-                .collect();
-            let nu_ys: Vec<f64> = grid.iter().map(|&e| (b + 0.03 * e).min(0.95)).collect();
-            PlanningCell {
-                cell,
-                park_index: i,
-                travel_km,
-                g: PwlFunction::new(grid.to_vec(), g_ys),
-                nu: PwlFunction::new(grid.to_vec(), nu_ys),
-            }
-        })
-        .collect();
-    let post = park.patrol_posts[0];
-    let post_index = park
-        .cells
-        .iter()
-        .position(|&c| c == post)
-        .expect("patrol post is an in-park cell");
-    let n = cells.len();
-    PlanningProblem {
-        post,
-        cells,
-        neighbours: vec![Vec::new(); n],
-        post_index,
-        patrol_length_km,
-        n_patrols: 4,
-        beta,
+    let n = park.n_cells();
+    let mut g = Matrix::zeros(n, grid.len());
+    let mut nu = Matrix::zeros(n, grid.len());
+    for i in 0..n {
+        let s = 0.1 + 0.8 * ((i * 37) % 100) as f64 / 100.0;
+        let rate = 0.3 + 0.5 * ((i * 53) % 97) as f64 / 97.0;
+        let b = 0.05 + 0.4 * ((i * 61) % 100) as f64 / 100.0;
+        for (k, &e) in grid.iter().enumerate() {
+            g.row_mut(i)[k] = s * (1.0 - (-rate * e).exp());
+            nu.row_mut(i)[k] = (b + 0.03 * e).min(0.95);
+        }
     }
+    park.cell_position(park.patrol_posts[0])
+        .ok_or(ProblemError::PostOutsidePark)
+        .and_then(|post_index| {
+            PlanningProblem::try_from_curves(
+                &park.cells,
+                post_index,
+                travel_km,
+                &grid,
+                &g,
+                &nu,
+                patrol_length_km,
+                4,
+                beta,
+            )
+        })
+        .expect("an in-park post, a positive budget and β ∈ [0, 1]")
 }
 
 /// Directory experiment outputs (JSON) are written to.

@@ -35,7 +35,7 @@ use paws_ml::forest32::NarrowError;
 use paws_ml::metrics::roc_auc;
 use paws_ml::precision::Precision;
 use paws_ml::traits::{validate_effort_grid, validate_query, Classifier, UncertainClassifier};
-use paws_plan::{squash_matrix, PlanningProblem};
+use paws_plan::PlanningProblem;
 use rayon::prelude::*;
 
 /// A fitted predictive model (plain bagging or iWare-E).
@@ -464,8 +464,7 @@ impl ServingModel {
 
     /// Build a patrol-planning problem for one post from a prepared park:
     /// the response surfaces come off the cached planes, then flow through
-    /// [`try_planning_problem_from_response`]'s guards, squash and game
-    /// construction.
+    /// [`try_planning_problem_from_response`].
     #[allow(clippy::too_many_arguments)]
     pub fn try_planning_problem_prepared(
         &self,
@@ -492,14 +491,14 @@ impl ServingModel {
 }
 
 /// Build a patrol-planning problem from an **already computed** response
-/// surface (e.g. one shared across a batch of same-park queries), with the
-/// serving-side guards that [`PlanningProblem::from_response`] enforces by
-/// panicking: the post must lie inside the park, the surfaces must cover
-/// every cell over ≥ 2 effort levels, and the patrol budget and β must be
-/// sane. The raw variance surface is squashed here.
+/// surface (e.g. one shared across a batch of same-park queries): the
+/// surface goes straight into [`PlanningProblem::try_from_response`],
+/// which squashes the raw variances in its one pass over the rows.
 ///
 /// # Errors
-/// [`PawsError::Input`] naming the violated precondition.
+/// [`PawsError::Input`] naming the violated precondition: the post must
+/// lie inside the park, the surfaces must cover every cell at ≥ 2 strictly
+/// ascending effort levels, and the patrol budget and β must be sane.
 #[allow(clippy::too_many_arguments)]
 pub fn try_planning_problem_from_response(
     park: &Park,
@@ -511,38 +510,17 @@ pub fn try_planning_problem_from_response(
     n_patrols: usize,
     beta: f64,
 ) -> Result<PlanningProblem, PawsError> {
-    if !park.contains(post) {
-        return Err(PawsError::Input("patrol post must be inside the park"));
-    }
-    if effort_grid.len() < 2 {
-        return Err(PawsError::Input(
-            "planning needs at least two effort levels",
-        ));
-    }
-    if probs.n_rows() != park.n_cells() || vars.n_rows() != park.n_cells() {
-        return Err(PawsError::Input(
-            "response surfaces must cover every in-park cell",
-        ));
-    }
-    if !(patrol_length_km.is_finite() && patrol_length_km > 0.0) || n_patrols == 0 {
-        return Err(PawsError::Input(
-            "patrol budget must be positive and finite",
-        ));
-    }
-    if !beta.is_finite() || !(0.0..=1.0).contains(&beta) {
-        return Err(PawsError::Input("beta must lie in [0, 1]"));
-    }
-    let (_, squashed) = squash_matrix(vars);
-    Ok(PlanningProblem::from_response(
+    PlanningProblem::try_from_response(
         park,
         post,
         effort_grid,
         probs,
-        &squashed,
+        vars,
         patrol_length_km,
         n_patrols,
         beta,
-    ))
+    )
+    .map_err(|e| PawsError::Input(e.message()))
 }
 
 /// Broadcast a plain ensemble's effort-constant prediction across the
@@ -640,11 +618,12 @@ mod tests {
     }
 
     /// The prepared planning path must build the same game as an
-    /// independent construction from the prepared response: squash the
-    /// raw variances, then `PlanningProblem::from_response` with the
-    /// caller's β.
+    /// independent per-cell construction from the prepared response:
+    /// squash the raw variances, then resample each cell's response rows
+    /// onto its feasible-effort domain.
     #[test]
     fn prepared_planning_problem_matches_the_direct_construction() {
+        use paws_plan::{PwlFunction, VarianceSquash};
         let (scenario, dataset, split) = small_setup();
         let park = &scenario.park;
         let model = train(
@@ -658,33 +637,44 @@ mod tests {
         let post = park.patrol_posts[0];
         let prepared = model.prepare_park(park, &dataset, &prev).unwrap();
         let (p, v) = model.park_response_prepared(&prepared, &grid);
-        let reference = PlanningProblem::from_response(
-            park,
-            post,
-            &grid,
-            &p,
-            &squash_matrix(&v).1,
-            8.0,
-            2,
-            0.8,
-        );
+        let squash = VarianceSquash::fit(v.as_slice());
+        let mut squashed = v.clone();
+        squashed
+            .as_mut_slice()
+            .iter_mut()
+            .for_each(|x| *x = squash.apply(*x));
         let problem = model
             .try_planning_problem_prepared(park, &prepared, post, &grid, 8.0, 2, 0.8)
             .unwrap();
         assert!(problem.n_cells() > 1);
-        assert_eq!(problem.n_cells(), reference.n_cells());
         assert_eq!(problem.beta, 0.8);
-        assert_eq!(problem.beta, reference.beta);
-        for (got, want) in problem.cells.iter().zip(&reference.cells) {
-            assert_eq!(got.cell, want.cell);
-            assert_eq!(got.g, want.g, "detection curve of {:?}", got.cell);
-            assert_eq!(got.nu, want.nu, "squashed variance of {:?}", got.cell);
+        assert_eq!(problem.cells()[problem.post_index()], post);
+        for i in 0..problem.n_cells() {
+            let pi = problem.park_indices()[i];
+            assert_eq!(park.cells[pi], problem.cells()[i]);
+            let hi = problem.max_effort(i).max(1e-3);
+            for (surface, got) in [(&p, problem.g(i)), (&squashed, problem.nu(i))] {
+                let base = PwlFunction::new(grid.to_vec(), surface.row(pi).to_vec());
+                let want = PwlFunction::try_from_samples(0.0, hi, grid.len() - 1, |x| base.eval(x))
+                    .unwrap();
+                let xs: Vec<f64> = (0..problem.levels())
+                    .map(|k| problem.breakpoint(i, k))
+                    .collect();
+                assert_eq!(xs, want.xs());
+                assert_eq!(got, want.ys(), "curve of {:?}", problem.cells()[i]);
+            }
         }
         let config = paws_plan::PlannerConfig::default();
         let plan = paws_plan::try_plan(&problem, &config).unwrap();
-        let reference_plan = paws_plan::try_plan(&reference, &config).unwrap();
-        assert_eq!(plan.coverage, reference_plan.coverage);
         assert!(plan.coverage.iter().sum::<f64>() <= problem.budget_km() + 1e-6);
+
+        // A plan grid that is not strictly ascending is refused as input.
+        for bad in [[0.0, 2.0, 1.0], [1.0, 1.0, 2.0]] {
+            assert!(matches!(
+                model.try_planning_problem_prepared(park, &prepared, post, &bad, 8.0, 2, 0.8),
+                Err(PawsError::Input(_))
+            ));
+        }
     }
 
     #[test]

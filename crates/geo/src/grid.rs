@@ -133,25 +133,34 @@ impl Grid {
     /// four cardinal moves, √2 for the diagonals), which is what the patrol
     /// simulator and the distance transform need.
     pub fn neighbours8(&self, cell: CellId) -> Vec<(CellId, f64)> {
+        let mut out = Vec::with_capacity(8);
+        out.extend(self.neighbours8_iter(cell));
+        out
+    }
+
+    /// [`Grid::neighbours8`] without the allocation: the same cells, steps
+    /// and order (row offset outer, column offset inner).
+    pub fn neighbours8_iter(&self, cell: CellId) -> impl Iterator<Item = (CellId, f64)> + '_ {
+        const OFFSETS: [(i64, i64); 8] = [
+            (-1, -1),
+            (-1, 0),
+            (-1, 1),
+            (0, -1),
+            (0, 1),
+            (1, -1),
+            (1, 0),
+            (1, 1),
+        ];
         let (row, col) = self.coords(cell);
         let (row, col) = (row as i64, col as i64);
-        let mut out = Vec::with_capacity(8);
-        for dr in -1i64..=1 {
-            for dc in -1i64..=1 {
-                if dr == 0 && dc == 0 {
-                    continue;
-                }
-                if let Some(n) = self.try_cell(row + dr, col + dc) {
-                    let step = if dr != 0 && dc != 0 {
-                        std::f64::consts::SQRT_2
-                    } else {
-                        1.0
-                    };
-                    out.push((n, step));
-                }
-            }
-        }
-        out
+        OFFSETS.iter().filter_map(move |&(dr, dc)| {
+            let step = if dr != 0 && dc != 0 {
+                std::f64::consts::SQRT_2
+            } else {
+                1.0
+            };
+            self.try_cell(row + dr, col + dc).map(|n| (n, step))
+        })
     }
 }
 

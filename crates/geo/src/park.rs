@@ -132,20 +132,20 @@ impl Park {
         self.cells.len()
     }
 
-    /// Is the cell inside the park boundary?
+    /// Is the cell inside the park boundary? (False for an id outside the
+    /// grid.)
     #[inline]
     pub fn contains(&self, cell: CellId) -> bool {
-        self.mask[cell.index()]
+        self.mask.get(cell.index()).copied().unwrap_or(false)
     }
 
-    /// Position of an in-park cell within [`Park::cells`], if inside.
+    /// Position of an in-park cell within [`Park::cells`]; `None` for a cell
+    /// outside the park or an id outside the grid.
     #[inline]
     pub fn cell_position(&self, cell: CellId) -> Option<usize> {
-        let p = self.cell_pos[cell.index()];
-        if p == u32::MAX {
-            None
-        } else {
-            Some(p as usize)
+        match self.cell_pos.get(cell.index()) {
+            Some(&p) if p != u32::MAX => Some(p as usize),
+            _ => None,
         }
     }
 
@@ -167,11 +167,22 @@ impl Park {
 
     /// In-park 8-neighbours of an in-park cell, with step lengths in km.
     pub fn park_neighbours(&self, cell: CellId) -> Vec<(CellId, f64)> {
+        let mut out = Vec::with_capacity(8);
+        out.extend(
+            self.grid
+                .neighbours8_iter(cell)
+                .filter(|(n, _)| self.contains(*n)),
+        );
+        out
+    }
+
+    /// The in-park 8-neighbours of `cell` as positions within
+    /// [`Park::cells`], with their step lengths, in [`Park::park_neighbours`]
+    /// order and without allocating.
+    pub fn neighbour_positions(&self, cell: CellId) -> impl Iterator<Item = (usize, f64)> + '_ {
         self.grid
-            .neighbours8(cell)
-            .into_iter()
-            .filter(|(n, _)| self.contains(*n))
-            .collect()
+            .neighbours8_iter(cell)
+            .filter_map(|(n, step)| self.cell_position(n).map(|p| (p, step)))
     }
 
     /// Fraction of in-park cells relative to the bounding rectangle.

@@ -147,7 +147,7 @@ mod tests {
                 grid.iter().map(|&e| s + 0.02 * e).collect()
             })
             .collect();
-        PlanningProblem::from_response(
+        PlanningProblem::try_from_response(
             &park,
             post,
             &grid,
@@ -157,6 +157,7 @@ mod tests {
             2,
             beta,
         )
+        .unwrap()
     }
 
     #[test]

@@ -6,9 +6,11 @@
 //! penalises model uncertainty, route extraction, and plan evaluation.
 //!
 //! Typical flow:
-//! 1. Sample g_v(c) / ν_v(c) from a fitted `paws_iware::IWareModel` with
-//!    `effort_response`, squash the variances with [`robust::squash_matrix`].
-//! 2. Build a [`game::PlanningProblem`] per patrol post.
+//! 1. Sample g_v(c) and the raw variances from a fitted
+//!    `paws_iware::IWareModel` with `effort_response`.
+//! 2. Build a [`game::PlanningProblem`] per patrol post with
+//!    [`game::PlanningProblem::try_from_response`], which squashes the
+//!    variances to ν_v(c) ∈ [0, 1] in the same pass.
 //! 3. Optimise with [`planner::try_plan`] (the exact greedy segment fill
 //!    of the enveloped allocation problem by default, an SOS2 MILP when
 //!    non-concave utilities must be encoded exactly, the time-unrolled
@@ -30,8 +32,8 @@ pub use evaluate::{
     compare_with_ground_truth, expected_detections, try_compare_robust_vs_baseline,
     RobustComparison,
 };
-pub use game::{park_travel_distances, steps_for, PlanningCell, PlanningProblem};
+pub use game::{park_travel_distances, steps_for, PlanningProblem, ProblemError};
 pub use planner::{try_plan, PatrolPlan, PlanError, PlannerConfig, PlannerMethod};
 pub use pwl::{PwlError, PwlFunction};
-pub use robust::{squash_matrix, VarianceSquash};
+pub use robust::VarianceSquash;
 pub use routes::{extract_routes, route_coverage, Route};

@@ -12,7 +12,8 @@
 //!   caps (each PWL's domain ends at the cell's reachable effort), i.e. a
 //!   fractional knapsack over PWL segments: filling segments in descending
 //!   slope order until the km budget runs out is optimal, exactly as the
-//!   λ-LP would find, in O(S log S) for S segments and with no solver.
+//!   λ-LP would find, with no solver. Only the budget-covering prefix of
+//!   that order is selected and sorted.
 //! * **SOS2 MILP** — [`PlannerMethod::Allocation`] with `exact_sos2` on and
 //!   at least one non-concave utility: one λ / SOS2 block per candidate
 //!   cell (binaries only for the non-concave cells), the budget row, and
@@ -24,8 +25,8 @@
 //!   intended for small regions and for validating the allocation
 //!   formulation.
 
-use crate::game::{steps_for, PlanningProblem};
-use crate::pwl::{PwlError, PwlFunction};
+use crate::game::PlanningProblem;
+use crate::pwl::{self, Hull, PwlError, PwlFunction};
 use paws_solver::{
     solve_milp, ConstraintOp, MilpOptions, Model, Sense, SolveStatus, SolverError, Variable,
 };
@@ -153,27 +154,15 @@ pub fn try_plan(
     problem: &PlanningProblem,
     config: &PlannerConfig,
 ) -> Result<PatrolPlan, PlanError> {
-    if config.segments < 1 {
-        return Err(PlanError::Pwl(PwlError::Empty));
-    }
     let start = Instant::now();
     // The PWL the planner optimises: each sampled utility, or its upper
     // concave envelope unless SOS2 binaries will encode it exactly.
-    let utilities: Vec<PwlFunction> = cell_utilities(problem, config.segments)?
-        .into_iter()
-        .map(|u| {
-            if config.exact_sos2 || u.is_concave(CONCAVE_TOL) {
-                u
-            } else {
-                u.concave_envelope()
-            }
-        })
-        .collect();
-    let pure_lp = !config.exact_sos2 || utilities.iter().all(|u| u.is_concave(CONCAVE_TOL));
+    let mut utilities = UtilityTable::build(problem, config.segments, !config.exact_sos2)?;
+    let pure_lp = !config.exact_sos2 || utilities.all_concave;
     let mut result = match config.method {
-        PlannerMethod::Allocation if pure_lp => greedy_plan(problem, &utilities)?,
-        PlannerMethod::Allocation => solve_allocation(problem, &utilities, config)?,
-        PlannerMethod::Flow => solve_flow(problem, &utilities, config)?,
+        PlannerMethod::Allocation if pure_lp => greedy_plan(problem, &mut utilities)?,
+        PlannerMethod::Allocation => solve_allocation(problem, &utilities.functions(), config)?,
+        PlannerMethod::Flow => solve_flow(problem, &utilities.functions(), config)?,
     };
     match result.status {
         SolveStatus::Infeasible => return Err(SolverError::Infeasible.into()),
@@ -181,9 +170,15 @@ pub fn try_plan(
         SolveStatus::BudgetExceeded => {
             // The budget died before branch-and-bound found any incumbent:
             // fall back to the greedy fill, which needs no solver at all.
-            let coverage = greedy_coverage(problem, &utilities);
+            // It fills the envelopes; the exact model kept the sampled
+            // utilities, so sample them again, enveloped.
+            let coverage = if config.exact_sos2 {
+                UtilityTable::build(problem, config.segments, true)?.fill(problem.budget_km())
+            } else {
+                utilities.fill(problem.budget_km())
+            };
             result = PatrolPlan {
-                objective: pwl_objective(&utilities, &coverage),
+                objective: utilities.objective(&coverage),
                 coverage,
                 status: SolveStatus::Degraded,
                 ..result
@@ -197,13 +192,212 @@ pub fn try_plan(
     })
 }
 
-/// Σ_v U_v(c_v) over the PWL utilities the planner optimised.
-fn pwl_objective(utilities: &[PwlFunction], coverage: &[f64]) -> f64 {
-    utilities
-        .iter()
-        .zip(coverage)
-        .map(|(u, &c)| u.eval(c))
-        .sum()
+/// Every candidate cell's robust utility U_v = g_v − β·g_v·ν_v (Eq. 4)
+/// resampled at `segments + 1` evenly spaced breakpoints on the cell's
+/// feasible-effort domain `[0, hi_v]`, as one flat `cells × (segments + 1)`
+/// table of values (breakpoint `k` of cell `v` is `hi_v · k / segments`),
+/// together with the greedy fill's candidate segments, collected in the
+/// same pass.
+#[derive(Debug)]
+struct UtilityTable {
+    segments: usize,
+    /// Domain end per cell.
+    his: Vec<f64>,
+    /// Utility values, `segments + 1` per cell, row-major.
+    ys: Vec<f64>,
+    /// Every segment of positive, finite slope and positive width, in
+    /// (cell, segment) order until [`UtilityTable::fill`] reorders them.
+    candidates: Vec<Segment>,
+    /// Every sampled utility is concave (before any envelope).
+    all_concave: bool,
+    /// Every tabulated value is finite.
+    all_finite: bool,
+}
+
+/// One PWL segment of one cell's utility, a candidate of the greedy fill.
+#[derive(Debug)]
+struct Segment {
+    slope: f64,
+    cell: u32,
+    index: u32,
+}
+
+/// The greedy fill's total order: slope descending, then cell, then
+/// segment — exactly the order a stable sort by slope leaves the segments
+/// in, since they are collected cell by cell, segment by segment.
+fn fill_order(a: &Segment, b: &Segment) -> std::cmp::Ordering {
+    b.slope
+        .total_cmp(&a.slope)
+        .then(a.cell.cmp(&b.cell))
+        .then(a.index.cmp(&b.index))
+}
+
+impl UtilityTable {
+    /// Sample every cell's utility in one pass, replacing each non-concave
+    /// one by its upper concave envelope when `envelope` is set (a concave
+    /// one is kept bit for bit). A zero segment count or a degenerate cell
+    /// domain is the [`PwlError`] `PwlFunction::try_from_samples` reports
+    /// for it.
+    fn build(problem: &PlanningProblem, segments: usize, envelope: bool) -> Result<Self, PwlError> {
+        if segments < 1 {
+            return Err(PwlError::Empty);
+        }
+        let n = problem.n_cells();
+        let stride = segments + 1;
+        let mut table = Self {
+            segments,
+            his: Vec::with_capacity(n),
+            ys: Vec::with_capacity(n * stride),
+            candidates: Vec::with_capacity(n * segments),
+            all_concave: true,
+            all_finite: true,
+        };
+        // The cell's own breakpoints and utility, then the resampling grid
+        // and the resampled segments' slopes.
+        let mut u_xs = vec![0.0; problem.levels()];
+        let mut u = vec![0.0; problem.levels()];
+        let mut xs = vec![0.0; stride];
+        let mut slopes = vec![0.0; segments];
+        let mut hull = Hull::default();
+        for i in 0..n {
+            problem.fill_breakpoints(i, &mut u_xs);
+            problem.write_utility(i, problem.beta, &mut u);
+            let hi = problem.max_effort(i).max(1e-3);
+            // `hi > 0` must hold; the negation also rejects a NaN bound.
+            let interval_ok = hi > 0.0;
+            if !interval_ok {
+                return Err(PwlError::Empty);
+            }
+            table.his.push(hi);
+            table.fill_xs(i, &mut xs);
+            if !xs.windows(2).all(|w| w[1] > w[0]) {
+                return Err(PwlError::NotAscending);
+            }
+            table.ys.resize((i + 1) * stride, 0.0);
+            let ys = &mut table.ys[i * stride..];
+            pwl::eval_many(&u_xs, &u, &xs, ys);
+            pwl::slopes(&xs, ys, &mut slopes);
+            if !pwl::slopes_concave(&slopes, CONCAVE_TOL) {
+                table.all_concave = false;
+                if envelope {
+                    pwl::concave_envelope_in_place(&xs, ys, &mut hull);
+                    pwl::slopes(&xs, ys, &mut slopes);
+                }
+            }
+            table.all_finite &= ys.iter().all(|y| y.is_finite());
+            for (j, &slope) in slopes.iter().enumerate() {
+                if xs[j + 1] - xs[j] > 0.0 && slope.is_finite() && slope > 0.0 {
+                    table.candidates.push(Segment {
+                        slope,
+                        cell: i as u32,
+                        index: j as u32,
+                    });
+                }
+            }
+        }
+        Ok(table)
+    }
+
+    fn n_cells(&self) -> usize {
+        self.his.len()
+    }
+
+    /// Write cell `i`'s `segments + 1` breakpoints into `out`.
+    fn fill_xs(&self, i: usize, out: &mut [f64]) {
+        let hi = self.his[i];
+        for (k, x) in out.iter_mut().enumerate() {
+            *x = hi * k as f64 / self.segments as f64;
+        }
+    }
+
+    fn ys(&self, i: usize) -> &[f64] {
+        let stride = self.segments + 1;
+        &self.ys[i * stride..(i + 1) * stride]
+    }
+
+    /// Σ_v U_v(c_v) over the tabulated utilities.
+    fn objective(&self, coverage: &[f64]) -> f64 {
+        let mut xs = vec![0.0; self.segments + 1];
+        coverage
+            .iter()
+            .enumerate()
+            .map(|(i, &c)| {
+                // Breakpoint 0 is 0 km: an uncovered cell scores U_v(0).
+                if c <= 0.0 {
+                    return self.ys(i)[0];
+                }
+                self.fill_xs(i, &mut xs);
+                pwl::eval(&xs, self.ys(i), c)
+            })
+            .sum()
+    }
+
+    /// One [`PwlFunction`] per cell, for the solver models.
+    fn functions(&self) -> Vec<PwlFunction> {
+        (0..self.n_cells())
+            .map(|i| {
+                let mut xs = vec![0.0; self.segments + 1];
+                self.fill_xs(i, &mut xs);
+                PwlFunction::new(xs, self.ys(i).to_vec())
+            })
+            .collect()
+    }
+
+    /// The greedy segment fill over concave (enveloped) utilities: every
+    /// candidate segment is a `(slope, width)` item, and filling them in
+    /// descending slope order until the `budget_km` runs out is optimal
+    /// for the enveloped separable problem (a fractional knapsack: one
+    /// budget row, and a concave cell's slopes descend, so its segments
+    /// fill in order). Per-cell caps hold because a cell's segments sum to
+    /// its PWL domain width, and the total never exceeds the budget — so
+    /// the result is always feasible for problem (P), which also makes it
+    /// the budget-starved fallback of the solver paths.
+    ///
+    /// Only the budget-covering prefix of the order matters, so the fill
+    /// selects a prefix (`select_nth_unstable_by`), sorts just that
+    /// prefix, and selects a twice-longer one from the rest whenever the
+    /// budget outlasts it.
+    fn fill(&mut self, budget_km: f64) -> Vec<f64> {
+        let (his, segments) = (&self.his, self.segments as f64);
+        // A segment's width, computed as the table computes its breakpoints.
+        let width = |s: &Segment| {
+            let (hi, j) = (his[s.cell as usize], s.index as f64);
+            hi * (j + 1.0) / segments - hi * j / segments
+        };
+        let candidates = &mut self.candidates;
+        let mut remaining = budget_km;
+        let mut coverage = vec![0.0; his.len()];
+        // First prefix: enough segments to cover the budget were each as
+        // narrow as the narrowest cell's, but at most an eighth of the
+        // candidates (or 1024).
+        let narrowest = his.iter().fold(f64::INFINITY, |a, &b| a.min(b)) / segments;
+        let cap = (candidates.len() / 8).max(1024);
+        let mut want = ((remaining / narrowest).ceil().min(cap as f64) as usize).max(1) + 1;
+        let mut done = 0;
+        while done < candidates.len() {
+            let rest = &mut candidates[done..];
+            let k = want.min(rest.len());
+            if k < rest.len() {
+                rest.select_nth_unstable_by(k, fill_order);
+            }
+            let prefix = &mut rest[..k];
+            prefix.sort_unstable_by(fill_order);
+            for s in prefix.iter() {
+                if remaining <= 0.0 {
+                    break;
+                }
+                let take = width(s).min(remaining);
+                coverage[s.cell as usize] += take;
+                remaining -= take;
+            }
+            if remaining <= 0.0 {
+                break;
+            }
+            done += k;
+            want = want.saturating_mul(2);
+        }
+        coverage
+    }
 }
 
 /// The exact plan of the enveloped allocation problem: the greedy segment
@@ -211,87 +405,20 @@ fn pwl_objective(utilities: &[PwlFunction], coverage: &[f64]) -> f64 {
 /// values are rejected with the error the λ-model builder would raise.
 fn greedy_plan(
     problem: &PlanningProblem,
-    utilities: &[PwlFunction],
+    utilities: &mut UtilityTable,
 ) -> Result<PatrolPlan, SolverError> {
-    if utilities
-        .iter()
-        .any(|u| u.ys().iter().any(|y| !y.is_finite()))
-    {
+    if !utilities.all_finite {
         return Err(SolverError::Input("objective coefficient must be finite"));
     }
-    let coverage = greedy_coverage(problem, utilities);
+    let coverage = utilities.fill(problem.budget_km());
     Ok(PatrolPlan {
-        objective: pwl_objective(utilities, &coverage),
+        objective: utilities.objective(&coverage),
         coverage,
         solve_time: Duration::default(),
         nodes: 0,
         lp_solves: 0,
         status: SolveStatus::Optimal,
     })
-}
-
-/// The greedy segment fill: every segment of every cell's concave-envelope
-/// utility is a `(slope, width)` candidate, and filling them in descending
-/// slope order until the km budget runs out is optimal for the enveloped
-/// separable problem (a fractional knapsack: one budget row, and a concave
-/// cell's slopes descend, so its segments fill in order). Per-cell caps
-/// hold because a cell's segments sum to its PWL domain width, and the
-/// total never exceeds the budget — so the result is always feasible for
-/// problem (P), which also makes it the budget-starved fallback of the
-/// solver paths.
-fn greedy_coverage(problem: &PlanningProblem, utilities: &[PwlFunction]) -> Vec<f64> {
-    struct Segment {
-        slope: f64,
-        cell: usize,
-        width: f64,
-    }
-    let mut segments: Vec<Segment> = Vec::new();
-    for (cell, u) in utilities.iter().enumerate() {
-        let envelope;
-        let u = if u.is_concave(CONCAVE_TOL) {
-            u
-        } else {
-            envelope = u.concave_envelope();
-            &envelope
-        };
-        let (xs, ys) = (u.xs(), u.ys());
-        for j in 0..xs.len() - 1 {
-            let width = xs[j + 1] - xs[j];
-            if width <= 0.0 {
-                continue;
-            }
-            let slope = (ys[j + 1] - ys[j]) / width;
-            if slope.is_finite() && slope > 0.0 {
-                segments.push(Segment { slope, cell, width });
-            }
-        }
-    }
-    segments.sort_by(|a, b| b.slope.total_cmp(&a.slope));
-    let mut remaining = problem.budget_km();
-    let mut coverage = vec![0.0; problem.n_cells()];
-    for s in segments {
-        if remaining <= 0.0 {
-            break;
-        }
-        let take = s.width.min(remaining);
-        coverage[s.cell] += take;
-        remaining -= take;
-    }
-    coverage
-}
-
-/// Per-cell utility PWL resampled to the configured number of segments.
-fn cell_utilities(
-    problem: &PlanningProblem,
-    segments: usize,
-) -> Result<Vec<PwlFunction>, PwlError> {
-    (0..problem.n_cells())
-        .map(|i| {
-            let u = problem.utility(i, problem.beta);
-            let hi = problem.max_effort(i).max(1e-3);
-            PwlFunction::try_from_samples(0.0, hi, segments, |c| u.eval(c))
-        })
-        .collect()
 }
 
 /// Add one cell's λ block to the model, with SOS2 binaries when the
@@ -377,8 +504,8 @@ fn solve_flow(
     utilities: &[PwlFunction],
     config: &PlannerConfig,
 ) -> Result<PatrolPlan, SolverError> {
-    let t_steps = steps_for(problem.patrol_length_km);
-    let k = problem.n_patrols as f64;
+    let t_steps = problem.patrol_steps();
+    let k = problem.n_patrols() as f64;
     let n = problem.n_cells();
     let mut model = Model::new(Sense::Maximize);
 
@@ -386,7 +513,7 @@ fn solve_flow(
     // neighbour of i, or i itself for "stay") between time t and t+1.
     let mut flow: Vec<Vec<Vec<(usize, Variable)>>> = vec![vec![Vec::new(); t_steps]; n];
     for i in 0..n {
-        let mut targets = problem.neighbours[i].clone();
+        let mut targets: Vec<usize> = problem.neighbours(i).iter().map(|&j| j as usize).collect();
         targets.push(i);
         for t in 0..t_steps {
             for &j in &targets {
@@ -400,7 +527,7 @@ fn solve_flow(
     // cell at t = 0.
     for i in 0..n {
         let terms: Vec<(Variable, f64)> = flow[i][0].iter().map(|&(_, v)| (v, 1.0)).collect();
-        let rhs = if i == problem.post_index { k } else { 0.0 };
+        let rhs = if i == problem.post_index() { k } else { 0.0 };
         model.try_add_constraint(&terms, ConstraintOp::Eq, rhs)?;
     }
     // Conservation: inflow into (i, t) equals outflow from (i, t) for
@@ -426,7 +553,7 @@ fn solve_flow(
     let mut sink_terms: Vec<(Variable, f64)> = Vec::new();
     for j in 0..n {
         for &(dest, v) in &flow[j][t_steps - 1] {
-            if dest == problem.post_index {
+            if dest == problem.post_index() {
                 sink_terms.push((v, 1.0));
             }
         }
@@ -483,19 +610,50 @@ fn extract_coverage(values: &[f64], blocks: &[(Vec<Variable>, Vec<f64>)]) -> Vec
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::game::PlanningCell;
     use paws_data::matrix::Matrix;
     use paws_geo::parks::test_park_spec;
-    use paws_geo::Park;
+    use paws_geo::{CellId, Park};
 
     fn solve(problem: &PlanningProblem, config: &PlannerConfig) -> PatrolPlan {
         try_plan(problem, config).expect("plan solves")
     }
 
+    /// Per-cell utility PWLs resampled to `segments` segments, as sampled.
+    fn cell_utilities(
+        problem: &PlanningProblem,
+        segments: usize,
+    ) -> Result<Vec<PwlFunction>, PwlError> {
+        UtilityTable::build(problem, segments, false).map(|t| t.functions())
+    }
+
+    /// Σ_v U_v(c_v) over explicit PWL utilities.
+    fn pwl_objective(utilities: &[PwlFunction], coverage: &[f64]) -> f64 {
+        utilities
+            .iter()
+            .zip(coverage)
+            .map(|(u, &c)| u.eval(c))
+            .sum()
+    }
+
     /// A small problem with synthetic response curves.
     fn small_problem(beta: f64, patrol_len: f64, n_patrols: usize) -> PlanningProblem {
+        let (park, grid, probs, vars) = small_surfaces();
+        PlanningProblem::try_from_response(
+            &park,
+            park.patrol_posts[0],
+            &grid,
+            &probs,
+            &vars,
+            patrol_len,
+            n_patrols,
+            beta,
+        )
+        .unwrap()
+    }
+
+    /// The test park with synthetic response surfaces over every cell.
+    fn small_surfaces() -> (Park, Vec<f64>, Matrix, Matrix) {
         let park = Park::generate(&test_park_spec(), 7);
-        let post = park.patrol_posts[0];
         let grid: Vec<f64> = vec![0.0, 0.5, 1.0, 2.0, 4.0, 8.0];
         let probs: Vec<Vec<f64>> = (0..park.n_cells())
             .map(|i| {
@@ -511,16 +669,8 @@ mod tests {
                 grid.iter().map(|&e| base + 0.03 * e).collect()
             })
             .collect();
-        PlanningProblem::from_response(
-            &park,
-            post,
-            &grid,
-            &Matrix::from_rows(&probs),
-            &Matrix::from_rows(&vars),
-            patrol_len,
-            n_patrols,
-            beta,
-        )
+        let (probs, vars) = (Matrix::from_rows(&probs), Matrix::from_rows(&vars));
+        (park, grid, probs, vars)
     }
 
     #[test]
@@ -817,11 +967,14 @@ mod tests {
 
     #[test]
     fn non_finite_utilities_are_typed_errors_on_every_path() {
-        let mut problem = small_problem(0.0, 4.0, 1);
-        let xs = problem.cells[0].g.xs().to_vec();
-        let mut ys = problem.cells[0].g.ys().to_vec();
-        ys[1] = f64::NAN;
-        problem.cells[0].g = PwlFunction::new(xs, ys);
+        // A NaN detection probability in the post's response row poisons
+        // its resampled curve.
+        let (park, grid, mut probs, vars) = small_surfaces();
+        let post = park.patrol_posts[0];
+        probs.row_mut(park.cell_position(post).unwrap())[1] = f64::NAN;
+        let problem =
+            PlanningProblem::try_from_response(&park, post, &grid, &probs, &vars, 4.0, 1, 0.0)
+                .unwrap();
         let bad = Err(PlanError::Solver(SolverError::Input(
             "objective coefficient must be finite",
         )));
@@ -850,7 +1003,7 @@ mod tests {
             .coverage
             .iter()
             .enumerate()
-            .map(|(i, &c)| problem.cells[i].g.eval(c))
+            .map(|(i, &c)| problem.utility(i, 0.0).eval(c))
             .sum();
         assert!((p.objective - g_sum).abs() < 0.1 * g_sum.max(1.0));
     }
@@ -869,33 +1022,19 @@ mod tests {
             (z ^ (z >> 31)) as f64 / 2f64.powi(64)
         };
         let grid: Vec<f64> = (0..=8).map(|k| 0.5 * k as f64).collect();
-        let cells = (0..n_cells)
-            .map(|i| {
-                let scale = 0.2 + 0.8 * uniform();
-                let mid = 1.0 + 2.0 * uniform();
-                let logistic = |e: f64| scale / (1.0 + (-3.0 * (e - mid)).exp());
-                let nu = 0.1 + 0.4 * uniform();
-                PlanningCell {
-                    cell: paws_geo::CellId(i as u32),
-                    park_index: i,
-                    travel_km: 0.0,
-                    g: PwlFunction::new(
-                        grid.clone(),
-                        grid.iter().map(|&e| logistic(e) - logistic(0.0)).collect(),
-                    ),
-                    nu: PwlFunction::new(grid.clone(), vec![nu; grid.len()]),
-                }
-            })
-            .collect();
-        PlanningProblem {
-            post: paws_geo::CellId(0),
-            cells,
-            neighbours: vec![Vec::new(); n_cells],
-            post_index: 0,
-            patrol_length_km: 4.0,
-            n_patrols: 1,
-            beta: 0.5,
+        let mut g = Matrix::zeros(n_cells, grid.len());
+        let mut nu = Matrix::zeros(n_cells, grid.len());
+        for i in 0..n_cells {
+            let scale = 0.2 + 0.8 * uniform();
+            let mid = 1.0 + 2.0 * uniform();
+            let logistic = |e: f64| scale / (1.0 + (-3.0 * (e - mid)).exp());
+            for (y, &e) in g.row_mut(i).iter_mut().zip(&grid) {
+                *y = logistic(e) - logistic(0.0);
+            }
+            nu.row_mut(i).fill(0.1 + 0.4 * uniform());
         }
+        let cells: Vec<CellId> = (0..n_cells as u32).map(CellId).collect();
+        PlanningProblem::try_from_curves(&cells, 0, 0.0, &grid, &g, &nu, 4.0, 1, 0.5).unwrap()
     }
 
     #[test]

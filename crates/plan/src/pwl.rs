@@ -116,42 +116,18 @@ impl PwlFunction {
 
     /// Domain of the function.
     pub fn domain(&self) -> (f64, f64) {
-        (self.xs[0], *self.xs.last().unwrap())
+        (self.xs[0], self.xs[self.xs.len() - 1])
     }
 
     /// Evaluate by linear interpolation; clamps outside the domain.
     pub fn eval(&self, x: f64) -> f64 {
-        if x <= self.xs[0] {
-            return self.ys[0];
-        }
-        if x >= *self.xs.last().unwrap() {
-            return *self.ys.last().unwrap();
-        }
-        // Binary search for the segment containing x.
-        let mut lo = 0usize;
-        let mut hi = self.xs.len() - 1;
-        while hi - lo > 1 {
-            let mid = (lo + hi) / 2;
-            if self.xs[mid] <= x {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-        }
-        let t = (x - self.xs[lo]) / (self.xs[hi] - self.xs[lo]);
-        self.ys[lo] * (1.0 - t) + self.ys[hi] * t
+        eval(&self.xs, &self.ys, x)
     }
 
     /// True when the function is concave (segment slopes non-increasing),
     /// in which case its maximisation needs no binary variables.
     pub fn is_concave(&self, tol: f64) -> bool {
-        let slopes: Vec<f64> = self
-            .xs
-            .windows(2)
-            .zip(self.ys.windows(2))
-            .map(|(x, y)| (y[1] - y[0]) / (x[1] - x[0]))
-            .collect();
-        slopes.windows(2).all(|w| w[1] <= w[0] + tol)
+        is_concave(&self.xs, &self.ys, tol)
     }
 
     /// The upper concave envelope of the function over its breakpoints: the
@@ -159,49 +135,123 @@ impl PwlFunction {
     /// to keep non-concave utilities solvable as a pure LP (the exact SOS2
     /// encoding remains available behind a flag).
     pub fn concave_envelope(&self) -> PwlFunction {
-        // Upper convex hull of the breakpoints (Andrew's monotone chain on
-        // the upper side), then re-evaluate at the original x grid.
-        let pts: Vec<(f64, f64)> = self
-            .xs
-            .iter()
-            .copied()
-            .zip(self.ys.iter().copied())
-            .collect();
-        let mut hull: Vec<(f64, f64)> = Vec::with_capacity(pts.len());
-        for &p in &pts {
-            while hull.len() >= 2 {
-                let a = hull[hull.len() - 2];
-                let b = hull[hull.len() - 1];
-                // Keep b only if it lies strictly above the chord a→p.
-                let cross = (b.0 - a.0) * (p.1 - a.1) - (b.1 - a.1) * (p.0 - a.0);
-                if cross >= 0.0 {
-                    hull.pop();
-                } else {
-                    break;
-                }
-            }
-            hull.push(p);
+        let mut ys = self.ys.clone();
+        concave_envelope_in_place(&self.xs, &mut ys, &mut Hull::default());
+        PwlFunction {
+            xs: self.xs.clone(),
+            ys,
         }
-        let hull_fn = PwlFunction::new(
-            hull.iter().map(|p| p.0).collect(),
-            hull.iter().map(|p| p.1).collect(),
-        );
-        let ys = self.xs.iter().map(|&x| hull_fn.eval(x)).collect();
-        PwlFunction::new(self.xs.clone(), ys)
     }
+}
 
-    /// Pointwise combination of two PWL functions sharing the same
-    /// breakpoints: `h(x) = f(x) ⊗ g(x)` evaluated at the breakpoints.
-    pub fn combine(&self, other: &PwlFunction, op: impl Fn(f64, f64) -> f64) -> PwlFunction {
-        assert_eq!(self.xs, other.xs, "combine requires identical breakpoints");
-        let ys = self
-            .ys
-            .iter()
-            .zip(&other.ys)
-            .map(|(&a, &b)| op(a, b))
-            .collect();
-        PwlFunction::new(self.xs.clone(), ys)
+/// Linear interpolation through breakpoints `(xs, ys)` (`xs` strictly
+/// ascending, at least two points), clamped outside the domain: the one
+/// evaluation rule behind [`PwlFunction::eval`] and the planner's flat
+/// curve tables.
+pub(crate) fn eval(xs: &[f64], ys: &[f64], x: f64) -> f64 {
+    let last = xs.len() - 1;
+    if x <= xs[0] {
+        return ys[0];
     }
+    if x >= xs[last] {
+        return ys[last];
+    }
+    // Binary search for the segment containing x.
+    let mut lo = 0usize;
+    let mut hi = last;
+    while hi - lo > 1 {
+        let mid = (lo + hi) / 2;
+        if xs[mid] <= x {
+            lo = mid;
+        } else {
+            hi = mid;
+        }
+    }
+    let t = (x - xs[lo]) / (xs[hi] - xs[lo]);
+    ys[lo] * (1.0 - t) + ys[hi] * t
+}
+
+/// [`eval`] at every point of `at`, written to `out`. Successive points
+/// continue the segment search where the previous one ended instead of
+/// bisecting afresh, which for ascending `at` (every caller's case) is a
+/// single merge walk; the segment found, and so every result bit, is the
+/// one [`eval`] finds.
+pub(crate) fn eval_many(xs: &[f64], ys: &[f64], at: &[f64], out: &mut [f64]) {
+    let last = xs.len() - 1;
+    let mut lo = 0usize;
+    for (y, &x) in out.iter_mut().zip(at) {
+        *y = if x <= xs[0] {
+            ys[0]
+        } else if x >= xs[last] {
+            ys[last]
+        } else {
+            // The segment with xs[lo] <= x < xs[lo + 1].
+            while lo > 0 && xs[lo] > x {
+                lo -= 1;
+            }
+            while xs[lo + 1] <= x {
+                lo += 1;
+            }
+            let t = (x - xs[lo]) / (xs[lo + 1] - xs[lo]);
+            ys[lo] * (1.0 - t) + ys[lo + 1] * t
+        };
+    }
+}
+
+/// True when the segment slopes of `(xs, ys)` never rise by more than
+/// `tol` (see [`PwlFunction::is_concave`]).
+pub(crate) fn is_concave(xs: &[f64], ys: &[f64], tol: f64) -> bool {
+    let mut s = vec![0.0; xs.len() - 1];
+    slopes(xs, ys, &mut s);
+    slopes_concave(&s, tol)
+}
+
+/// The slope of every segment of `(xs, ys)`, written to `out`.
+pub(crate) fn slopes(xs: &[f64], ys: &[f64], out: &mut [f64]) {
+    for (j, s) in out.iter_mut().enumerate() {
+        *s = (ys[j + 1] - ys[j]) / (xs[j + 1] - xs[j]);
+    }
+}
+
+/// True when consecutive `slopes` never rise by more than `tol`.
+pub(crate) fn slopes_concave(slopes: &[f64], tol: f64) -> bool {
+    slopes.windows(2).all(|w| w[1] <= w[0] + tol)
+}
+
+/// Reusable scratch for [`concave_envelope_in_place`]: the upper hull's
+/// vertices.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Hull {
+    xs: Vec<f64>,
+    ys: Vec<f64>,
+}
+
+/// Replace `ys` by the upper concave envelope of `(xs, ys)` evaluated at
+/// the same `xs` (see [`PwlFunction::concave_envelope`]). The hull is
+/// built in `hull`, so a caller enveloping many curves allocates it once.
+pub(crate) fn concave_envelope_in_place(xs: &[f64], ys: &mut [f64], hull: &mut Hull) {
+    // Upper convex hull of the breakpoints (Andrew's monotone chain on
+    // the upper side), then re-evaluate at the original x grid.
+    hull.xs.clear();
+    hull.ys.clear();
+    for (&px, &py) in xs.iter().zip(ys.iter()) {
+        while hull.xs.len() >= 2 {
+            let n = hull.xs.len();
+            let (ax, ay) = (hull.xs[n - 2], hull.ys[n - 2]);
+            let (bx, by) = (hull.xs[n - 1], hull.ys[n - 1]);
+            // Keep b only if it lies strictly above the chord a→p.
+            let cross = (bx - ax) * (py - ay) - (by - ay) * (px - ax);
+            if cross >= 0.0 {
+                hull.xs.pop();
+                hull.ys.pop();
+            } else {
+                break;
+            }
+        }
+        hull.xs.push(px);
+        hull.ys.push(py);
+    }
+    eval_many(&hull.xs, &hull.ys, xs, ys);
 }
 
 #[cfg(test)]
@@ -248,14 +298,6 @@ mod tests {
         assert!(concave.is_concave(1e-9));
         let non_concave = PwlFunction::new(vec![0.0, 1.0, 2.0], vec![0.0, 0.1, 1.0]);
         assert!(!non_concave.is_concave(1e-9));
-    }
-
-    #[test]
-    fn combine_multiplies_pointwise() {
-        let g = PwlFunction::new(vec![0.0, 1.0, 2.0], vec![0.0, 0.5, 1.0]);
-        let v = PwlFunction::new(vec![0.0, 1.0, 2.0], vec![1.0, 0.5, 0.2]);
-        let u = g.combine(&v, |a, b| a - 0.5 * a * b);
-        assert!((u.eval(2.0) - (1.0 - 0.5 * 1.0 * 0.2)).abs() < 1e-12);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! candidate cell with the largest remaining effort demand (discounted by
 //! distance), returning to the post in time.
 
-use crate::game::{steps_for, PlanningProblem};
+use crate::game::PlanningProblem;
 use paws_geo::CellId;
 
 /// One extracted patrol route (sequence of visited cells, starting and
@@ -26,28 +26,31 @@ impl Route {
     }
 }
 
-/// Extract `problem.n_patrols` routes approximating the coverage vector.
+/// Extract `problem.n_patrols()` routes approximating the coverage vector.
 pub fn extract_routes(problem: &PlanningProblem, coverage: &[f64]) -> Vec<Route> {
     assert_eq!(
         coverage.len(),
         problem.n_cells(),
         "coverage length mismatch"
     );
-    let t_steps = steps_for(problem.patrol_length_km);
+    let t_steps = problem.patrol_steps();
     let mut demand: Vec<f64> = coverage.to_vec();
     // Pre-compute hop distance to the post within the candidate sub-graph so
     // routes can always return in time.
-    let hops_to_post = hop_distances(problem, problem.post_index);
+    let post = problem.post_index();
+    let hops_to_post = hop_distances(problem, post);
+    let mut options: Vec<usize> = Vec::with_capacity(9);
 
-    (0..problem.n_patrols)
+    (0..problem.n_patrols())
         .map(|_| {
-            let mut current = problem.post_index;
-            let mut cells = vec![problem.cells[current].cell];
+            let mut current = post;
+            let mut cells = vec![problem.cells()[current]];
             for step in 0..t_steps {
                 let remaining = t_steps - step - 1;
                 // Candidate next cells: neighbours (plus staying put) that can
                 // still make it home in the remaining steps.
-                let mut options: Vec<usize> = problem.neighbours[current].clone();
+                options.clear();
+                options.extend(problem.neighbours(current).iter().map(|&j| j as usize));
                 options.push(current);
                 options.retain(|&j| hops_to_post[j] as usize <= remaining);
                 if options.is_empty() {
@@ -69,16 +72,17 @@ pub fn extract_routes(problem: &PlanningProblem, coverage: &[f64]) -> Vec<Route>
                     .expect("options is non-empty");
                 demand[next] = (demand[next] - 1.0).max(0.0);
                 current = next;
-                cells.push(problem.cells[current].cell);
+                cells.push(problem.cells()[current]);
             }
             // Walk back to the post if the greedy walk did not end there.
-            while current != problem.post_index {
-                let next = *problem.neighbours[current]
+            while current != post {
+                let next = *problem
+                    .neighbours(current)
                     .iter()
-                    .min_by_key(|&&j| hops_to_post[j])
+                    .min_by_key(|&&j| hops_to_post[j as usize])
                     .expect("candidate sub-graph is connected to the post");
-                current = next;
-                cells.push(problem.cells[current].cell);
+                current = next as usize;
+                cells.push(problem.cells()[current]);
             }
             Route { cells }
         })
@@ -89,10 +93,10 @@ pub fn extract_routes(problem: &PlanningProblem, coverage: &[f64]) -> Vec<Route>
 pub fn route_coverage(problem: &PlanningProblem, routes: &[Route]) -> Vec<f64> {
     let mut coverage = vec![0.0; problem.n_cells()];
     let index_of: std::collections::HashMap<CellId, usize> = problem
-        .cells
+        .cells()
         .iter()
         .enumerate()
-        .map(|(i, c)| (c.cell, i))
+        .map(|(i, &c)| (c, i))
         .collect();
     for route in routes {
         for cell in route.cells.iter().skip(1) {
@@ -111,7 +115,8 @@ fn hop_distances(problem: &PlanningProblem, source: usize) -> Vec<u32> {
     dist[source] = 0;
     queue.push_back(source);
     while let Some(i) = queue.pop_front() {
-        for &j in &problem.neighbours[i] {
+        for &j in problem.neighbours(i) {
+            let j = j as usize;
             if dist[j] == u32::MAX {
                 dist[j] = dist[i] + 1;
                 queue.push_back(j);
@@ -124,6 +129,7 @@ fn hop_distances(problem: &PlanningProblem, source: usize) -> Vec<u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::game::steps_for;
     use crate::planner::{try_plan, PlannerConfig};
     use paws_data::matrix::Matrix;
     use paws_geo::parks::test_park_spec;
@@ -140,7 +146,7 @@ mod tests {
             })
             .collect();
         let vars = vec![vec![0.2; grid.len()]; park.n_cells()];
-        PlanningProblem::from_response(
+        PlanningProblem::try_from_response(
             &park,
             post,
             &grid,
@@ -150,6 +156,7 @@ mod tests {
             3,
             0.0,
         )
+        .unwrap()
     }
 
     #[test]
@@ -159,8 +166,8 @@ mod tests {
         let routes = extract_routes(&p, &coverage);
         assert_eq!(routes.len(), 3);
         for r in &routes {
-            assert_eq!(*r.cells.first().unwrap(), p.post);
-            assert_eq!(*r.cells.last().unwrap(), p.post);
+            assert_eq!(*r.cells.first().unwrap(), p.post());
+            assert_eq!(*r.cells.last().unwrap(), p.post());
         }
     }
 
@@ -172,11 +179,11 @@ mod tests {
         // The same rounding helper the extractor itself uses — this bound
         // used a truncating `as usize` before, disagreeing with the
         // extractor at x.5 patrol lengths.
-        let t_steps = steps_for(p.patrol_length_km);
+        let t_steps = steps_for(p.patrol_length_km());
         for r in &routes {
             // Greedy may add a short tail to return home but never more than
             // the reach radius.
-            assert!(r.n_steps() <= t_steps + steps_for(p.patrol_length_km / 2.0));
+            assert!(r.n_steps() <= t_steps + steps_for(p.patrol_length_km() / 2.0));
             assert!(r.n_steps() >= 2);
         }
     }
@@ -186,18 +193,14 @@ mod tests {
         let p = problem();
         let coverage = try_plan(&p, &PlannerConfig::default()).unwrap().coverage;
         let routes = extract_routes(&p, &coverage);
-        let index_of: std::collections::HashMap<CellId, usize> = p
-            .cells
-            .iter()
-            .enumerate()
-            .map(|(i, c)| (c.cell, i))
-            .collect();
+        let index_of: std::collections::HashMap<CellId, usize> =
+            p.cells().iter().enumerate().map(|(i, &c)| (c, i)).collect();
         for r in &routes {
             for w in r.cells.windows(2) {
                 let a = index_of[&w[0]];
                 let b = index_of[&w[1]];
                 assert!(
-                    a == b || p.neighbours[a].contains(&b),
+                    a == b || p.neighbours(a).contains(&(b as u32)),
                     "route takes a non-adjacent step"
                 );
             }
@@ -221,8 +224,8 @@ mod tests {
         let routes = extract_routes(&p, &coverage);
         assert_eq!(routes.len(), 3);
         for r in &routes {
-            assert_eq!(*r.cells.first().unwrap(), p.post);
-            assert_eq!(*r.cells.last().unwrap(), p.post);
+            assert_eq!(*r.cells.first().unwrap(), p.post());
+            assert_eq!(*r.cells.last().unwrap(), p.post());
         }
 
         // All-NaN demand is the worst case and must not panic either.

@@ -245,3 +245,89 @@ fn union_pass_answers_every_edge_case_like_the_direct_calls() {
         }
     }
 }
+
+/// A plan whose effort grid is not strictly ascending (unsorted, or with a
+/// duplicate level) used to panic while its response rows were resampled,
+/// and one whose post id lies outside the park's grid panicked on the
+/// park's mask. Each must come back as a typed
+/// `ServeError::Model(PawsError::Input)` while every other request of its
+/// batch — risk maps, an unsorted response grid (which stays legal) and
+/// valid plans — is answered bit-identically to the direct calls and to the
+/// same batch without the bad plans.
+#[test]
+fn unsorted_plan_grids_are_typed_errors_that_spare_their_batch() {
+    let (park, dataset, model) = fit(Plane::IWare64);
+    let prev = vec![0.0; park.n_cells()];
+    let prepared = model
+        .prepare_park(&park, &dataset, &prev)
+        .expect("valid prepared park");
+    let good = vec![
+        QueryRequest::new(PARK, plan_kind(&park, vec![0.0, 1.0, 4.0])),
+        QueryRequest::new(PARK, QueryKind::RiskMap { effort_km: 2.0 }),
+        QueryRequest::new(
+            PARK,
+            QueryKind::ParkResponse {
+                effort_grid: vec![2.0, 0.0, 1.0],
+            },
+        ),
+        QueryRequest::new(PARK, plan_kind(&park, vec![0.0, 0.5, 2.0])),
+    ];
+    let bad = [vec![0.0, 2.0, 1.0], vec![1.0, 1.0, 2.0]];
+    let mut mixed = good.clone();
+    mixed.insert(1, QueryRequest::new(PARK, plan_kind(&park, bad[0].clone())));
+    mixed.push(QueryRequest::new(PARK, plan_kind(&park, bad[1].clone())));
+    // A post id outside the park's grid used to panic on the park's mask.
+    mixed.insert(
+        3,
+        QueryRequest::new(
+            PARK,
+            QueryKind::PatrolPlan {
+                post: paws_geo::CellId(u32::MAX),
+                effort_grid: vec![0.0, 1.0, 4.0],
+                patrol_length_km: 8.0,
+                n_patrols: 2,
+                beta: 0.8,
+            },
+        ),
+    );
+    let want: Vec<_> = good
+        .iter()
+        .map(|req| direct(&model, &prepared, &park, req))
+        .collect();
+    assert!(want.iter().all(|w| w.is_ok()));
+
+    let server = PawsServer::new();
+    server
+        .registry()
+        .install(PARK, model, park.clone(), &dataset, &prev)
+        .expect("install succeeds");
+    let alone = server.submit(&good);
+    let served = server.submit(&mixed);
+    assert_eq!(served.len(), mixed.len());
+    let mut good_answers = Vec::new();
+    for (req, answer) in mixed.iter().zip(&served) {
+        match &req.kind {
+            QueryKind::PatrolPlan {
+                post, effort_grid, ..
+            } if bad.contains(effort_grid) || !park.contains(*post) => {
+                assert!(
+                    matches!(
+                        answer,
+                        Err(ServeError::Model(paws_core::PawsError::Input(_)))
+                    ),
+                    "post {post:?}, grid {effort_grid:?}: {answer:?}"
+                );
+            }
+            _ => good_answers.push(answer),
+        }
+    }
+    assert_eq!(good_answers.len(), good.len());
+    for (i, (s, (a, w))) in good_answers
+        .into_iter()
+        .zip(alone.iter().zip(&want))
+        .enumerate()
+    {
+        assert_same(&format!("#{i} vs direct"), s, w);
+        assert_same(&format!("#{i} vs the batch without bad plans"), s, a);
+    }
+}

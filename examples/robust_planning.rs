@@ -60,8 +60,11 @@ fn main() -> Result<(), PawsError> {
                 beta,
             )?;
             // Ground-truth attack probabilities of the problem's candidate cells.
-            let attack_local: Vec<f64> =
-                problem.cells.iter().map(|c| attack[c.park_index]).collect();
+            let attack_local: Vec<f64> = problem
+                .park_indices()
+                .iter()
+                .map(|&pi| attack[pi])
+                .collect();
             let cmp = compare_with_ground_truth(
                 &problem,
                 &PlannerConfig::default(),

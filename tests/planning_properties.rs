@@ -28,7 +28,7 @@ fn build_problem(seed_scale: f64, uncertainty_level: f64, beta: f64) -> Planning
             grid.iter().map(|&e| (base + 0.02 * e).min(0.99)).collect()
         })
         .collect();
-    PlanningProblem::from_response(
+    PlanningProblem::try_from_response(
         &park,
         post,
         &grid,
@@ -38,6 +38,7 @@ fn build_problem(seed_scale: f64, uncertainty_level: f64, beta: f64) -> Planning
         2,
         beta,
     )
+    .unwrap()
 }
 
 proptest! {
@@ -122,7 +123,7 @@ fn qenp_scale_problem(s_shaped: bool) -> PlanningProblem {
             grid.iter().map(|&e| (base + 0.02 * e).min(0.99)).collect()
         })
         .collect();
-    PlanningProblem::from_response(
+    PlanningProblem::try_from_response(
         &park,
         post,
         &grid,
@@ -132,6 +133,7 @@ fn qenp_scale_problem(s_shaped: bool) -> PlanningProblem {
         4,
         0.9,
     )
+    .unwrap()
 }
 
 fn budgeted(budget: SolveBudget) -> PlannerConfig {
