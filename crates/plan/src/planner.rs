@@ -1037,6 +1037,78 @@ mod tests {
         PlanningProblem::try_from_curves(&cells, 0, 0.0, &grid, &g, &nu, 4.0, 1, 0.5).unwrap()
     }
 
+    /// The prefix-selected fill must fill exactly what a full stable sort
+    /// of every candidate segment by slope fills, bit for bit: with slopes
+    /// tied across cells, and with budgets that outlast the first prefix
+    /// (several selection rounds) or end inside it.
+    #[test]
+    fn prefix_fill_matches_a_full_stable_sort() {
+        let n = 4000;
+        let grid: Vec<f64> = (0..=5).map(|k| k as f64).collect();
+        let mut g = Matrix::zeros(n, grid.len());
+        let mut nu = Matrix::zeros(n, grid.len());
+        for i in 0..n {
+            // Every other cell shares one curve, so their slopes tie.
+            let scale = if i % 2 == 0 {
+                0.5
+            } else {
+                0.1 + 0.8 * ((i * 37) % 101) as f64 / 101.0
+            };
+            for (y, &e) in g.row_mut(i).iter_mut().zip(&grid) {
+                *y = scale * (1.0 - (-0.7 * e).exp());
+            }
+            nu.row_mut(i).fill(0.1 + 0.3 * ((i * 61) % 7) as f64 / 7.0);
+        }
+        let cells: Vec<CellId> = (0..n as u32).map(CellId).collect();
+        // (T, travel): the last leaves every cell a 0.1 km domain, so the
+        // 100 km budget needs 10,000 segments — past the first prefix.
+        for (patrol_length_km, travel_km) in [(4.0, 0.0), (10.0, 2.5), (100.0, 49.99)] {
+            let problem = PlanningProblem::try_from_curves(
+                &cells,
+                0,
+                travel_km,
+                &grid,
+                &g,
+                &nu,
+                patrol_length_km,
+                1,
+                0.5,
+            )
+            .unwrap();
+            let mut table = UtilityTable::build(&problem, 10, true).unwrap();
+
+            // The reference: every candidate segment, stably sorted by slope.
+            let mut xs = vec![0.0; 11];
+            let mut all = Vec::new();
+            for cell in 0..n {
+                table.fill_xs(cell, &mut xs);
+                let ys = table.ys(cell);
+                for j in 0..10 {
+                    let width = xs[j + 1] - xs[j];
+                    let slope = (ys[j + 1] - ys[j]) / width;
+                    if width > 0.0 && slope.is_finite() && slope > 0.0 {
+                        all.push((slope, cell, width));
+                    }
+                }
+            }
+            all.sort_by(|a, b| b.0.total_cmp(&a.0));
+            let mut remaining = problem.budget_km();
+            let mut want = vec![0.0; n];
+            for &(_, cell, width) in &all {
+                if remaining <= 0.0 {
+                    break;
+                }
+                let take = width.min(remaining);
+                want[cell] += take;
+                remaining -= take;
+            }
+
+            let got = table.fill(problem.budget_km());
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "T = {patrol_length_km}");
+        }
+    }
+
     #[test]
     fn exact_sos2_plan_sits_between_the_envelope_bounds() {
         let problem = s_shaped_problem(12, 0x5EED);

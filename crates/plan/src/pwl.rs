@@ -369,6 +369,48 @@ mod tests {
         assert_eq!(env.eval(4.0), 1.0);
     }
 
+    /// The merge walk must find the bisection's segment, so every result
+    /// is bit-identical to [`eval`] — for ascending points (every caller),
+    /// for shuffled ones, and for points on breakpoints or outside the
+    /// domain.
+    #[test]
+    fn eval_many_is_bit_identical_to_eval() {
+        let mut state = 0x5EEDu64;
+        let mut uniform = move || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (z ^ (z >> 31)) as f64 / 2f64.powi(64)
+        };
+        for case in 0..200 {
+            let n = 2 + case % 11;
+            let mut xs = vec![uniform() - 0.5];
+            for _ in 1..n {
+                let step = if uniform() < 0.2 { 1e-9 } else { uniform() };
+                xs.push(xs[xs.len() - 1] + step);
+            }
+            let ys: Vec<f64> = (0..n).map(|_| uniform() * 4.0 - 2.0).collect();
+            let (lo, hi) = (xs[0] - 0.5, xs[n - 1] + 0.5);
+            let mut at: Vec<f64> = (0..3 * n)
+                .map(|_| lo + (hi - lo) * uniform())
+                .chain(xs.iter().copied())
+                .collect();
+            if case % 2 == 0 {
+                at.sort_by(f64::total_cmp);
+            }
+            let mut out = vec![0.0; at.len()];
+            eval_many(&xs, &ys, &at, &mut out);
+            for (&x, &y) in at.iter().zip(&out) {
+                assert_eq!(
+                    y.to_bits(),
+                    eval(&xs, &ys, x).to_bits(),
+                    "case {case} at {x}"
+                );
+            }
+        }
+    }
+
     proptest! {
         #[test]
         fn eval_stays_within_breakpoint_range(x in -10.0..10.0f64) {
